@@ -41,20 +41,38 @@ def structural_model_to_dict(model: StructuralModel) -> dict:
     return {"equations": equations, "unknowns": sorted(model.unknowns)}
 
 
+def _names(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"model JSON: {what} must be a list of strings")
+    return value
+
+
 def structural_model_from_dict(data: dict) -> StructuralModel:
+    if not isinstance(data, dict):
+        raise InputError(f"model JSON must be an object, not {type(data).__name__}")
     try:
         equation_entries = data["equations"]
-        unknowns = tuple(data["unknowns"])
+        unknowns = tuple(_names(data["unknowns"], '"unknowns"'))
     except KeyError as exc:
         raise InputError(f"model JSON missing field {exc.args[0]!r}") from None
+    if not isinstance(equation_entries, list):
+        raise InputError('model JSON: "equations" must be a list')
+    ids = []
     incidence = {}
     faults = {}
-    for entry in equation_entries:
-        incidence[entry["id"]] = frozenset(entry.get("unknowns", ()))
-        if entry.get("fault"):
-            faults[entry["fault"]] = entry["id"]
+    for position, entry in enumerate(equation_entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+            raise InputError(f'model JSON: equation entry {position} needs a string "id"')
+        eq = entry["id"]
+        ids.append(eq)
+        incidence[eq] = frozenset(_names(entry.get("unknowns", []), f"unknowns of {eq!r}"))
+        fault = entry.get("fault")
+        if fault:
+            if not isinstance(fault, str):
+                raise InputError(f"model JSON: fault of {eq!r} must be a string")
+            faults[fault] = eq
     return StructuralModel(
-        equations=tuple(e["id"] for e in equation_entries),
+        equations=tuple(ids),
         unknowns=unknowns,
         incidence=incidence,
         faults=tuple(faults),
@@ -148,14 +166,17 @@ def switched_model_from_dict(data: dict) -> tuple[SwitchedModel, dict[str, tuple
 
 
 def load_any_model(path: str | Path) -> dict:
-    """Read a model JSON file; the caller dispatches on the 'template' key."""
+    """Read a model JSON object; the caller dispatches on the 'template' key."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read model file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"model JSON in {path} must be an object, not {type(data).__name__}")
+    return data
 
 
 def decomposition_to_dict(dm: DmDecomposition) -> dict:

@@ -5,7 +5,9 @@ classification and by the matching-cardinality oracle (an equation is
 redundant exactly when removing it keeps the maximum matching size, with
 the matching size computed by scipy's Hopcroft-Karp rather than the
 package's own matching code).  Isolability partitions are checked against
-a brute-force pairwise evaluation of the removal definition.
+a brute-force pairwise evaluation of the removal definition, and
+:func:`definitional_dm_decompose` recomputes fine blocks by literal removal
+as the reference for :func:`~switchdiag.structural.dm_decompose`.
 """
 
 import random
@@ -14,16 +16,25 @@ from dataclasses import dataclass, field
 from .errors import InternalConsistencyError
 from .structural import (
     DEFAULT_ORACLE_BOUND,
+    DmDecomposition,
     IsolabilityReport,
     StructuralModel,
     _canonical_partition,
+    _coarse_parts,
     _oracle_matching_size,
     dm_decompose,
     isolability_partition,
     oracle_plus_membership,
+    plus_part,
 )
 
-__all__ = ["OracleCheckResult", "oracle_partition", "random_model", "run_oracle_check"]
+__all__ = [
+    "OracleCheckResult",
+    "definitional_dm_decompose",
+    "oracle_partition",
+    "random_model",
+    "run_oracle_check",
+]
 
 
 def random_model(
@@ -47,6 +58,30 @@ def random_model(
         faults=tuple(faults),
         fault_map=faults,
     )
+
+
+def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
+    """Reference DM decomposition with fine blocks taken from the definition.
+
+    Each fine block is found by re-decomposing the model with one
+    overdetermined equation removed: all equations the removal expels share
+    the removed equation's block.  Costs one model rebuild and one fresh
+    matching per block; test use only.
+    """
+    coarse = _coarse_parts(model)
+    over = coarse.over.equations
+    assigned: set[str] = set()
+    blocks: list[frozenset[str]] = []
+    for eq in sorted(over):
+        if eq in assigned:
+            continue
+        block = over - plus_part(model.remove_equation(eq))
+        if block & assigned or eq not in block:
+            raise InternalConsistencyError("fine blocks do not form a partition")
+        assigned |= block
+        blocks.append(block)
+    blocks.sort(key=sorted)
+    return DmDecomposition(coarse.under, coarse.just, coarse.over, tuple(blocks))
 
 
 def oracle_partition(model: StructuralModel, bound: int = DEFAULT_ORACLE_BOUND) -> IsolabilityReport:

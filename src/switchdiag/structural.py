@@ -104,12 +104,18 @@ class StructuralModel:
         )
 
     @cached_property
-    def _equations_of_unknown(self) -> dict[str, tuple[str, ...]]:
-        rev: dict[str, list[str]] = {x: [] for x in self.unknowns}
-        for eq in self.equations:
-            for x in self.incidence[eq]:
-                rev[x].append(eq)
-        return {x: tuple(eqs) for x, eqs in rev.items()}
+    def _index(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Integer adjacency in declaration order: equation -> unknowns and back.
+
+        Built on first use and kept for the model's lifetime.
+        """
+        var_index = {x: j for j, x in enumerate(self.unknowns)}
+        adj = [sorted(var_index[x] for x in self.incidence[eq]) for eq in self.equations]
+        rev: list[list[int]] = [[] for _ in self.unknowns]
+        for i, row in enumerate(adj):
+            for j in row:
+                rev[j].append(i)
+        return adj, rev
 
     def remove_equation(self, equation: str) -> "StructuralModel":
         """Return the model without ``equation`` (and without faults on it)."""
@@ -215,91 +221,146 @@ class IsolabilityMatrix:
         )
 
 
-def _augment(model: StructuralModel, eq: str, matched_to: dict[str, str], seen: set[str]) -> bool:
-    # Classic augmenting-path step; sorted candidates keep the result
-    # deterministic for a fixed equation order.
-    for x in sorted(model.incidence[eq]):
-        if x in seen:
+def _augmenting_search(
+    adj: list[list[int]], eq_match: list[int], var_match: list[int], seen: list[int], root: int
+) -> None:
+    # Depth-first search for an augmenting path from the exposed equation
+    # ``root``, with an explicit stack so path length is not bounded by the
+    # interpreter's recursion limit.  ``seen[x] == root`` marks unknowns this
+    # search has visited.  A path found is flipped in place.
+    path_eqs = [root]
+    path_vars: list[int] = []
+    frames = [iter(adj[root])]
+    while frames:
+        for x in frames[-1]:
+            if seen[x] != root:
+                seen[x] = root
+                break
+        else:
+            frames.pop()
+            path_eqs.pop()
+            if path_vars:
+                path_vars.pop()
             continue
-        seen.add(x)
-        holder = matched_to.get(x)
-        if holder is None or _augment(model, holder, matched_to, seen):
-            matched_to[x] = eq
-            return True
-    return False
+        path_vars.append(x)
+        holder = var_match[x]
+        if holder < 0:
+            for eq, var in zip(path_eqs, path_vars):
+                eq_match[eq] = var
+                var_match[var] = eq
+            return
+        path_eqs.append(holder)
+        frames.append(iter(adj[holder]))
 
 
-def _matching_maps(model: StructuralModel) -> tuple[dict[str, str], dict[str, str]]:
-    matched_to: dict[str, str] = {}
-    for eq in model.equations:
-        _augment(model, eq, matched_to, set())
-    eq_match = {e: x for x, e in matched_to.items()}
-    return eq_match, matched_to
+def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
+    # Maximum matching as index maps equation -> unknown and unknown ->
+    # equation, -1 where exposed: a greedy pass, then one augmenting-path
+    # search per equation the greedy pass left exposed.
+    adj, rev = model._index
+    eq_match = [-1] * len(adj)
+    var_match = [-1] * len(rev)
+    for i, row in enumerate(adj):
+        for x in row:
+            if var_match[x] < 0:
+                eq_match[i] = x
+                var_match[x] = i
+                break
+    seen = [-1] * len(rev)
+    for i in range(len(adj)):
+        if eq_match[i] < 0:
+            _augmenting_search(adj, eq_match, var_match, seen, i)
+    return eq_match, var_match
 
 
 def max_matching(model: StructuralModel) -> Matching:
     """Maximum bipartite matching between equations and unknowns.
 
-    Deterministic for a fixed input ordering: equations are processed in
-    declaration order, candidate unknowns in lexicographic order.
+    Computed iteratively (no recursion, whatever the path lengths) by a
+    greedy pass followed by augmenting-path searches.  Deterministic for a
+    fixed declaration order of equations and unknowns; which maximum
+    matching is returned may change when that order changes.
     """
-    eq_match, _ = _matching_maps(model)
-    return Matching(frozenset(eq_match.items()))
+    eq_match, _ = _matching(model)
+    return Matching(frozenset(
+        (model.equations[i], model.unknowns[x]) for i, x in enumerate(eq_match) if x >= 0
+    ))
+
+
+def _reach(
+    adj: list[list[int]], back: list[int], starts: list[int]
+) -> tuple[list[bool], list[int]]:
+    # Alternating sweep from vertices ``starts`` of one side of the graph:
+    # any edge ``adj`` to the other side, the matched edge ``back`` from
+    # there (-1 when exposed).  Returns the reached vertices of the start
+    # side and, per vertex of the other side, the vertex it was first
+    # reached from (-1 when unreached), so each reached vertex has an
+    # alternating path back to a start.
+    reached = [False] * len(adj)
+    via = [-1] * len(back)
+    for i in starts:
+        reached[i] = True
+    stack = list(starts)
+    while stack:
+        i = stack.pop()
+        for x in adj[i]:
+            if via[x] < 0:
+                via[x] = i
+                j = back[x]
+                if j >= 0 and not reached[j]:
+                    reached[j] = True
+                    stack.append(j)
+    return reached, via
 
 
 class _Coarse(NamedTuple):
     under: PartPair
     just: PartPair
     over: PartPair
+    # Matching state the fine-block pass continues from.
+    eq_match: list[int]
+    var_match: list[int]
+    over_eqs: list[int]
+    via: list[int]
 
 
 def _coarse_parts(model: StructuralModel) -> _Coarse:
-    eq_match, var_match = _matching_maps(model)
+    adj, rev = model._index
+    eq_match, var_match = _matching(model)
 
     # Overdetermined part: everything alternating-reachable from equations
-    # left exposed by a maximum matching.
-    over_eqs = {e for e in model.equations if e not in eq_match}
-    over_vars: set[str] = set()
-    stack = list(over_eqs)
-    while stack:
-        eq = stack.pop()
-        for x in model.incidence[eq]:
-            if x in over_vars:
-                continue
-            over_vars.add(x)
-            nxt = var_match.get(x)
-            if nxt is not None and nxt not in over_eqs:
-                over_eqs.add(nxt)
-                stack.append(nxt)
-
-    # Underdetermined part: dual sweep from exposed unknowns.
-    under_vars = {x for x in model.unknowns if x not in var_match}
-    under_eqs: set[str] = set()
-    rev = model._equations_of_unknown
-    stack = list(under_vars)
-    while stack:
-        x = stack.pop()
-        for eq in rev[x]:
-            if eq in under_eqs:
-                continue
-            under_eqs.add(eq)
-            nxt = eq_match.get(eq)
-            if nxt is not None and nxt not in under_vars:
-                under_vars.add(nxt)
-                stack.append(nxt)
+    # left exposed by a maximum matching.  Underdetermined part: the dual
+    # sweep from exposed unknowns.
+    over_eqs, via = _reach(adj, var_match, [i for i, x in enumerate(eq_match) if x < 0])
+    under_vars, under_via = _reach(rev, eq_match, [x for x, i in enumerate(var_match) if i < 0])
+    over_vars = [i >= 0 for i in via]
+    under_eqs = [x >= 0 for x in under_via]
 
     # A maximum matching admits no augmenting path, so the two sweeps
     # cannot meet.
-    if over_eqs & under_eqs or over_vars & under_vars:
+    if any(o and u for o, u in zip(over_eqs, under_eqs)) or any(
+        o and u for o, u in zip(over_vars, under_vars)
+    ):
         raise InternalConsistencyError("DM sweeps overlap; matching was not maximum")
-    just_eqs = set(model.equations) - over_eqs - under_eqs
-    just_vars = set(model.unknowns) - over_vars - under_vars
-    if len(just_eqs) != len(just_vars):
+    just_eqs = [not (o or u) for o, u in zip(over_eqs, under_eqs)]
+    just_vars = [not (o or u) for o, u in zip(over_vars, under_vars)]
+    if sum(just_eqs) != sum(just_vars):
         raise InternalConsistencyError("just-determined part is not square")
+
+    def part(eq_flags: list[bool], var_flags: list[bool]) -> PartPair:
+        return PartPair(
+            frozenset(eq for eq, flag in zip(model.equations, eq_flags) if flag),
+            frozenset(x for x, flag in zip(model.unknowns, var_flags) if flag),
+        )
+
     return _Coarse(
-        under=PartPair(frozenset(under_eqs), frozenset(under_vars)),
-        just=PartPair(frozenset(just_eqs), frozenset(just_vars)),
-        over=PartPair(frozenset(over_eqs), frozenset(over_vars)),
+        under=part(under_eqs, under_vars),
+        just=part(just_eqs, just_vars),
+        over=part(over_eqs, over_vars),
+        eq_match=eq_match,
+        var_match=var_match,
+        over_eqs=[i for i, reached in enumerate(over_eqs) if reached],
+        via=via,
     )
 
 
@@ -311,24 +372,48 @@ def plus_part(model: StructuralModel) -> frozenset[str]:
 def dm_decompose(model: StructuralModel) -> DmDecomposition:
     """Coarse DM decomposition plus fine blocks of the overdetermined part.
 
-    The result is canonical: it does not depend on the declaration order of
-    equations or unknowns.  Fine blocks are computed definitionally, by
-    re-decomposing the model with one overdetermined equation removed; all
-    equations expelled by the removal share the removed equation's block.
+    The result is canonical and exact: it does not depend on the declaration
+    order of equations or unknowns, and each fine block is exactly the set
+    of equations that removing any one of its members expels from the
+    overdetermined part.  One maximum matching is computed.  Each block then
+    costs one alternating-path flip, which exposes one of its equations and
+    keeps the matching maximum, plus one alternating sweep from the other
+    exposed equations; the block is the part of the overdetermined
+    equations that sweep does not reach.  Total cost is O(blocks * E) after
+    the matching, for E incidence edges, with no model rebuilt.
     """
     coarse = _coarse_parts(model)
-    over = coarse.over.equations
-    assigned: set[str] = set()
+    adj, _ = model._index
+    eq_match, var_match, via = coarse.eq_match, coarse.var_match, coarse.via
+    names = model.equations
+    over = coarse.over_eqs
+    assigned = [False] * len(adj)
     blocks: list[frozenset[str]] = []
-    for eq in sorted(over):
-        if eq in assigned:
+    for eq in sorted(over, key=names.__getitem__):
+        if assigned[eq]:
             continue
-        remaining = _coarse_parts(model.remove_equation(eq)).over.equations
-        block = over - remaining
-        if block & assigned or eq not in block:
+        # ``via`` holds the last sweep's alternating paths, and ``eq`` was
+        # reached by it (it is in no earlier block): shift the matching back
+        # along ``eq``'s path so an exposed start takes over and ``eq`` is
+        # left exposed.  The matching stays maximum.
+        x = eq_match[eq]
+        eq_match[eq] = -1
+        while x >= 0:
+            holder = via[x]
+            freed = eq_match[holder]
+            eq_match[holder] = x
+            var_match[x] = holder
+            x = freed
+        # With ``eq`` exposed, the matching is maximum for the model without
+        # ``eq``, whose overdetermined part is what the other exposed
+        # equations reach.
+        reached, via = _reach(adj, var_match, [i for i in over if eq_match[i] < 0 and i != eq])
+        block = [i for i in over if not reached[i]]
+        if eq not in block or any(assigned[i] for i in block):
             raise InternalConsistencyError("fine blocks do not form a partition")
-        assigned |= block
-        blocks.append(block)
+        for i in block:
+            assigned[i] = True
+        blocks.append(frozenset(names[i] for i in block))
     blocks.sort(key=sorted)
     return DmDecomposition(coarse.under, coarse.just, coarse.over, tuple(blocks))
 

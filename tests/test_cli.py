@@ -78,6 +78,24 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--model", "nope.json", "--config", "II")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("payload", [
+        [],
+        "template",
+        {"equations": [{"unknowns": ["x"]}], "unknowns": ["x"]},
+        {"equations": [["e1", "x"]], "unknowns": ["x"]},
+        {"equations": {"id": "e1"}, "unknowns": []},
+        {"equations": [{"id": "e1", "unknowns": "x"}], "unknowns": ["x"]},
+        {"equations": [{"id": "e1", "fault": ["f"]}], "unknowns": []},
+        {"equations": [], "unknowns": "x"},
+    ])
+    def test_malformed_flat_model_is_input_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "analyze", "--model", str(path))
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_markdown_table(self, capsys):

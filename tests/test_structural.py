@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from switchdiag import bimmc
 from switchdiag.errors import InputError, OracleBoundError
-from switchdiag.oraclecheck import oracle_partition, random_model
+from switchdiag.oraclecheck import definitional_dm_decompose, oracle_partition, random_model
 from switchdiag.structural import (
     StructuralModel,
     detectability_set,
@@ -17,6 +18,12 @@ from switchdiag.structural import (
     oracle_plus_membership,
     partition_matrix,
     plus_part,
+)
+from switchdiag.switched import (
+    Configuration,
+    ReducedConfiguration,
+    instantiate,
+    representative_configuration,
 )
 
 from .conftest import models
@@ -175,6 +182,72 @@ class TestFineBlocks:
             frozenset({"e4"}),
             frozenset({"e5"}),
         }
+
+
+def sparse_model(rng: random.Random, n_eq: int) -> StructuralModel:
+    """Random sparse model: 0-3 unknowns per equation, about as many unknowns as equations."""
+    unknowns = [f"x{j:03d}" for j in range(max(1, int(n_eq * rng.uniform(0.6, 1.1))))]
+    incidence = {f"e{i:03d}": rng.sample(unknowns, rng.randint(0, min(3, len(unknowns))))
+                 for i in range(n_eq)}
+    return StructuralModel.from_incidence(incidence, unknowns=unknowns)
+
+
+def chain_model(length: int, extra_tail: bool = False) -> StructuralModel:
+    """e_i = {x_i, x_{i+1}}, then z = {x_0} (and zz = {x_length}): one long augmenting path."""
+    incidence = {f"e{i:04d}": {f"x{i:04d}", f"x{i + 1:04d}"} for i in range(length)}
+    incidence["z"] = {"x0000"}
+    if extra_tail:
+        incidence["zz"] = {f"x{length:04d}"}
+    return model_of(incidence)
+
+
+class TestAgainstDefinitionalReference:
+    """The incremental fine-block pass equals literal removal and re-decomposition."""
+
+    def test_random_sparse_models(self):
+        rng = random.Random(7)
+        for index in range(40):
+            model = sparse_model(rng, rng.randint(1, 300))
+            assert dm_decompose(model) == definitional_dm_decompose(model), index
+
+    def test_random_models_over_part_matches_oracle(self):
+        # The scipy matching-size oracle, far above its default size bound.
+        rng = random.Random(11)
+        for _ in range(3):
+            model = sparse_model(rng, 120)
+            over = dm_decompose(model).over.equations
+            for eq in model.equations:
+                assert (eq in over) == oracle_plus_membership(model, eq, bound=120)
+
+    @pytest.mark.parametrize("setup", bimmc.SETUPS)
+    def test_every_reduced_configuration_at_n16(self, setup):
+        switched, _ = bimmc.generate(16, setup)
+        for k in range(17):
+            config = representative_configuration(switched, ReducedConfiguration(k, (k, 16 - k)))
+            model = instantiate(switched, config)
+            assert dm_decompose(model) == definitional_dm_decompose(model), k
+
+    def test_half_inserted_n64_setup_iv(self):
+        switched, _ = bimmc.generate(64, "IV")
+        model = instantiate(switched, Configuration(("forward",) * 32 + ("bypass1",) * 32))
+        dm = dm_decompose(model)
+        assert len(dm.fine_blocks) == 226
+        assert dm == definitional_dm_decompose(model)
+
+
+class TestLongAugmentingPaths:
+    def test_chain_matches_without_recursion_limit(self):
+        model = chain_model(3000)
+        assert max_matching(model).size == 3001
+        dm = dm_decompose(model)
+        assert not dm.over.equations
+        assert len(dm.just.equations) == 3001
+
+    def test_chain_with_surplus_is_one_fine_block(self):
+        model = chain_model(3000, extra_tail=True)
+        dm = dm_decompose(model)
+        assert dm.fine_blocks == (frozenset(model.equations),)
+        assert len(dm.over.equations) == 3002
 
 
 class TestDetectability:
