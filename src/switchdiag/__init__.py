@@ -55,17 +55,11 @@ from .structural import (
     DmDecomposition,
     IsolabilityMatrix,
     IsolabilityReport,
-    Matching,
     StructuralModel,
     detectability_set,
     dm_decompose,
-    is_isolable,
-    isolability_matrix,
     isolability_partition,
-    max_matching,
-    oracle_plus_membership,
     partition_matrix,
-    plus_part,
 )
 from .switched import (
     Configuration,

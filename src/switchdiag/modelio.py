@@ -8,6 +8,7 @@ lexicographically ordered so files are byte-stable.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from .errors import InputError
@@ -41,10 +42,41 @@ def structural_model_to_dict(model: StructuralModel) -> dict:
     return {"equations": equations, "unknowns": sorted(model.unknowns)}
 
 
+# Shape checks for decoded JSON values; ``what`` names the value in the message.
+
+
 def _names(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise InputError(f"model JSON: {what} must be a list of strings")
+        raise InputError(f"{what} must be a list of strings")
     return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object")
+    return value
+
+
+def _objects(value, what: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise InputError(f"{what} must be a list of objects")
+    return value
+
+
+def _optional_name(value, what: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise InputError(f"{what} must be a string")
+    return value
+
+
+def _number(value, what: str) -> float:
+    # Booleans are not numbers here; the bound rejects NaN, infinities and
+    # integers beyond the float range.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise InputError(f"{what} must be finite")
+    return float(value)
 
 
 def structural_model_from_dict(data: dict) -> StructuralModel:
@@ -52,7 +84,7 @@ def structural_model_from_dict(data: dict) -> StructuralModel:
         raise InputError(f"model JSON must be an object, not {type(data).__name__}")
     try:
         equation_entries = data["equations"]
-        unknowns = tuple(_names(data["unknowns"], '"unknowns"'))
+        unknowns = tuple(_names(data["unknowns"], 'model JSON: "unknowns"'))
     except KeyError as exc:
         raise InputError(f"model JSON missing field {exc.args[0]!r}") from None
     if not isinstance(equation_entries, list):
@@ -65,7 +97,9 @@ def structural_model_from_dict(data: dict) -> StructuralModel:
             raise InputError(f'model JSON: equation entry {position} needs a string "id"')
         eq = entry["id"]
         ids.append(eq)
-        incidence[eq] = frozenset(_names(entry.get("unknowns", []), f"unknowns of {eq!r}"))
+        incidence[eq] = frozenset(
+            _names(entry.get("unknowns", []), f"model JSON: unknowns of {eq!r}")
+        )
         fault = entry.get("fault")
         if fault:
             if not isinstance(fault, str):
@@ -93,11 +127,30 @@ def _mode_equation_to_dict(eq: ModeGuardedEquation, modes: tuple[str, ...]) -> d
 
 
 def _mode_equation_from_dict(entry: dict, modes: tuple[str, ...]) -> ModeGuardedEquation:
+    eq = entry["id"]
+    if not isinstance(eq, str):
+        raise InputError('template equation "id" must be a string')
     if "variants" in entry:
-        variants = {m: frozenset(v) for m, v in entry["variants"].items()}
+        variants = {
+            m: frozenset(_names(v, f"variant {m!r} of {eq!r}"))
+            for m, v in _object(entry["variants"], f"variants of {eq!r}").items()
+        }
     else:
-        variants = {m: frozenset(entry.get("unknowns", ())) for m in modes}
-    return ModeGuardedEquation(entry["id"], variants, entry.get("fault"))
+        incidence = frozenset(_names(entry.get("unknowns", []), f"unknowns of {eq!r}"))
+        variants = {m: incidence for m in modes}
+    return ModeGuardedEquation(eq, variants, _optional_name(entry.get("fault"), f"fault of {eq!r}"))
+
+
+def _global_equation_from_dict(entry: dict) -> GlobalEquation:
+    eq = entry["id"]
+    if not isinstance(eq, str):
+        raise InputError('global equation "id" must be a string')
+    return GlobalEquation(
+        id=eq,
+        unknowns=frozenset(_names(entry.get("unknowns", []), f"unknowns of {eq!r}")),
+        per_instance=frozenset(_names(entry.get("per_instance", []), f"per_instance of {eq!r}")),
+        fault=_optional_name(entry.get("fault"), f"fault of {eq!r}"),
+    )
 
 
 def switched_model_to_dict(
@@ -133,34 +186,36 @@ def switched_model_to_dict(
 def switched_model_from_dict(data: dict) -> tuple[SwitchedModel, dict[str, tuple[str, ...]]]:
     """Returns the model plus its template-level aggregation pattern (may be empty)."""
     try:
-        template_data = data["template"]
-        modes = tuple(template_data["modes"])
+        template_data = _object(data["template"], '"template"')
+        modes = tuple(_names(template_data["modes"], 'template "modes"'))
         template = SubmoduleTemplate(
             modes=modes,
             equations=tuple(
-                _mode_equation_from_dict(e, modes) for e in template_data["equations"]
+                _mode_equation_from_dict(e, modes)
+                for e in _objects(template_data["equations"], 'template "equations"')
             ),
-            local_unknowns=tuple(template_data["local_unknowns"]),
-            mode_letters=template_data.get("mode_letters", {}),
+            local_unknowns=tuple(
+                _names(template_data["local_unknowns"], 'template "local_unknowns"')
+            ),
+            mode_letters=_object(template_data.get("mode_letters", {}), '"mode_letters"'),
         )
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f'"n" must be an integer, not {n!r}')
         switched = SwitchedModel(
             template=template,
-            n=int(data["n"]),
+            n=n,
             global_equations=tuple(
-                GlobalEquation(
-                    id=g["id"],
-                    unknowns=frozenset(g.get("unknowns", ())),
-                    per_instance=frozenset(g.get("per_instance", ())),
-                    fault=g.get("fault"),
-                )
-                for g in data["global_equations"]
+                _global_equation_from_dict(g)
+                for g in _objects(data["global_equations"], '"global_equations"')
             ),
-            shared_unknowns=tuple(data["shared_unknowns"]),
+            shared_unknowns=tuple(_names(data["shared_unknowns"], '"shared_unknowns"')),
         )
     except KeyError as exc:
         raise InputError(f"switched model JSON missing field {exc.args[0]!r}") from None
     aggregation = {
-        a: tuple(c) for a, c in data.get("fault_aggregation", {}).items()
+        a: tuple(_names(c, f"fault aggregate {a!r}"))
+        for a, c in _object(data.get("fault_aggregation", {}), '"fault_aggregation"').items()
     }
     return switched, aggregation
 

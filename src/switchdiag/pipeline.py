@@ -11,7 +11,8 @@ inserted-cell count, non-isolable sets listed per mode class.
 
 import itertools
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import bimmc
@@ -24,8 +25,13 @@ from .structural import (
 from .switched import (
     Configuration,
     ReducedConfiguration,
+    SwitchedModel,
+    canonicalize,
+    enumerate_reduced_configurations,
     instantiate,
+    mode_class,
     representative_configuration,
+    structural_mode_classes,
 )
 
 __all__ = [
@@ -100,34 +106,67 @@ class SweepReport:
         object.__setattr__(self, "cells", cells)
 
 
+@contextmanager
+def _context(setup: bimmc.SensorSetup, reduced: ReducedConfiguration, config: Configuration):
+    # Name the configuration an internal consistency error arose in.
+    try:
+        yield
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(
+            f"setup {setup.id}, n={len(config.modes)}, class counts {reduced.class_counts}, "
+            f"modes {','.join(config.modes)}: {exc}"
+        ) from exc
+
+
+def _analyze(
+    switched: SwitchedModel, catalogue: bimmc.FaultCatalogue, config: Configuration
+) -> IsolabilityReport:
+    return bimmc.aggregate_report(isolability_partition(instantiate(switched, config)), catalogue)
+
+
+def _reduced_results(
+    setup: bimmc.SensorSetup,
+    switched: SwitchedModel,
+    catalogue: bimmc.FaultCatalogue,
+    condense: Callable,
+) -> dict[ReducedConfiguration, object]:
+    # ``condense(report, config, classes)`` on the representative of every
+    # reduced configuration, in ascending class-count order.
+    classes = structural_mode_classes(switched.template)
+    results = {}
+    for reduced in enumerate_reduced_configurations(switched):
+        config = representative_configuration(switched, reduced)
+        with _context(setup, reduced, config):
+            results[reduced] = condense(_analyze(switched, catalogue, config), config, classes)
+    return results
+
+
 def analyze_configuration(n: int, setup: str | bimmc.SensorSetup, k: int) -> IsolabilityReport:
     """Aggregated isolability of the representative configuration with ``k`` inserted."""
     if not 0 <= k <= n:
         raise InputError(f"inserted count {k} outside [0, {n}]")
     switched, catalogue = bimmc.generate(n, setup)
-    config = representative_configuration(switched, ReducedConfiguration(k, (k, n - k)))
-    report = isolability_partition(instantiate(switched, config))
-    return bimmc.aggregate_report(report, catalogue)
+    config = representative_configuration(switched, ReducedConfiguration((k, n - k)))
+    return _analyze(switched, catalogue, config)
 
 
-def _mode_class(mode: str) -> str:
-    if mode in bimmc.INSERTION_MODES:
-        return "insertion"
-    if mode in bimmc.BYPASS_MODES:
-        return "bypass"
-    raise InputError(f"unknown mode {mode!r}")
-
-
-def compact(report: IsolabilityReport, config: Configuration) -> CompactIsolability:
+def compact(
+    report: IsolabilityReport, config: Configuration, classes: Sequence[frozenset[str]]
+) -> CompactIsolability:
     """Condense a per-submodule report to one representative per mode class.
 
-    All submodules sharing a mode class must exhibit identical (index-free)
-    non-isolable sets; a violation means the analysis lost its permutation
-    symmetry and is reported as an internal error rather than a result.
+    ``classes`` are the template's mode classes, insertion class first and
+    bypass class second.  All submodules sharing a mode class must exhibit
+    identical (index-free) non-isolable sets; a violation means the analysis
+    lost its permutation symmetry and is reported as an internal error
+    rather than a result.
     """
-    members: dict[str, list[int]] = {"insertion": [], "bypass": []}
+    names = ("insertion", "bypass")
+    if len(classes) != len(names):
+        raise InputError(f"compact needs an insertion and a bypass class, not {len(classes)}")
+    members: dict[str, list[int]] = {name: [] for name in names}
     for idx, mode in enumerate(config.modes, start=1):
-        members[_mode_class(mode)].append(idx)
+        members[names[mode_class(classes, mode)]].append(idx)
 
     sm_class = {
         idx: cls for cls, indices in members.items() for idx in indices
@@ -185,28 +224,25 @@ def sweep(n: int, setups: Sequence[str | bimmc.SensorSetup] | None = None) -> Sw
     cells: dict[tuple[str, int], CompactIsolability] = {}
     for setup in setup_objs:
         switched, catalogue = bimmc.generate(n, setup)
-        for k in range(n + 1):
-            config = representative_configuration(switched, ReducedConfiguration(k, (k, n - k)))
-            report = bimmc.aggregate_report(
-                isolability_partition(instantiate(switched, config)), catalogue
-            )
-            cells[(setup.id, k)] = compact(report, config)
+        for reduced, cell in _reduced_results(setup, switched, catalogue, compact).items():
+            cells[(setup.id, reduced.class_counts[0])] = cell
     return SweepReport(n, tuple(s.id for s in setup_objs), cells)
 
 
 # -- raw-configuration cross-validation --------------------------------------
 
 
-def canonical_report(report: IsolabilityReport, config: Configuration):
-    """Rename submodules so insertion-mode instances come first.
+def canonical_report(
+    report: IsolabilityReport, config: Configuration, classes: Sequence[frozenset[str]]
+):
+    """Rename submodules so instances are ordered by mode class, insertion first.
 
-    Two configurations with the same inserted count yield the same
-    canonical form exactly when they are equivalent up to submodule
-    permutation and within-class mode swaps.
+    Two configurations with the same class counts yield the same canonical
+    form exactly when they are equivalent up to submodule permutation and
+    within-class mode swaps.
     """
     order = sorted(
-        range(len(config.modes)),
-        key=lambda i: (0 if config.modes[i] in bimmc.INSERTION_MODES else 1, i),
+        range(len(config.modes)), key=lambda i: (mode_class(classes, config.modes[i]), i)
     )
     rename = {old + 1: new + 1 for new, old in enumerate(order)}
 
@@ -228,28 +264,20 @@ def full_enumeration_check(n: int, setup: str | bimmc.SensorSetup) -> int:
 
     Returns the number of raw configurations checked; a mismatch between a
     raw configuration's canonical result and the representative of its
-    inserted-cell count raises an internal consistency error.
+    class counts raises an internal consistency error.
     """
+    setup = bimmc.sensor_setup(setup)
     switched, catalogue = bimmc.generate(n, setup)
-    reduced_canonical = {}
-    for k in range(n + 1):
-        config = representative_configuration(switched, ReducedConfiguration(k, (k, n - k)))
-        report = bimmc.aggregate_report(
-            isolability_partition(instantiate(switched, config)), catalogue
-        )
-        reduced_canonical[k] = canonical_report(report, config)
-
+    expected = _reduced_results(setup, switched, catalogue, canonical_report)
+    classes = structural_mode_classes(switched.template)
     checked = 0
-    for modes in itertools.product(bimmc.MODES, repeat=n):
+    for modes in itertools.product(switched.template.modes, repeat=n):
         config = Configuration(modes)
-        k = sum(1 for m in modes if m in bimmc.INSERTION_MODES)
-        report = bimmc.aggregate_report(
-            isolability_partition(instantiate(switched, config)), catalogue
-        )
-        if canonical_report(report, config) != reduced_canonical[k]:
-            raise InternalConsistencyError(
-                f"raw configuration {modes} disagrees with its reduced class k={k}"
-            )
+        reduced = canonicalize(classes, config)
+        with _context(setup, reduced, config):
+            report = _analyze(switched, catalogue, config)
+            if canonical_report(report, config, classes) != expected[reduced]:
+                raise InternalConsistencyError("raw configuration disagrees with its reduced class")
         checked += 1
     return checked
 

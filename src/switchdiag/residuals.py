@@ -32,6 +32,7 @@ from .errors import (
     ResidualModeError,
     SimulationDivergedError,
 )
+from .modelio import _names, _number, _object, _objects
 
 __all__ = [
     "FAULT_SIGNALS",
@@ -58,6 +59,10 @@ _MODE_SIGNS = {MODE_FORWARD: 1.0, MODE_BACKWARD: -1.0, MODE_BYPASS: 0.0}
 FAULT_SIGNALS = ("f_iout", "f_icell", "f_iout_extra")
 SENSOR_OPTIONS = ("cell_current", "extra_output_current")
 
+#: Most integration steps one scenario may ask for (about 10 s at the
+#: default dt); each step keeps several float samples in memory.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FaultStep:
@@ -66,13 +71,12 @@ class FaultStep:
     signal: str
     onset: float
     magnitude: float
-    profile: str = "step"
 
     def __post_init__(self):
         if self.signal not in FAULT_SIGNALS:
             raise InputError(f"unknown fault signal {self.signal!r}")
-        if self.profile != "step":
-            raise InputError("only step fault profiles are supported")
+        if not (math.isfinite(self.onset) and math.isfinite(self.magnitude)):
+            raise InputError("fault onset and magnitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,14 @@ class SimScenario:
             raise InputError(
                 f"unknown mode {self.mode!r}; expected one of {sorted(_MODE_SIGNS)}"
             )
-        if not self.dt > 0:
-            raise InputError("dt must be positive")
-        if self.duration < self.dt:
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise InputError("dt must be positive and finite")
+        if not self.duration >= self.dt:
             raise InputError("duration must be at least one timestep")
+        if self.duration / self.dt > MAX_STEPS:
+            raise InputError(
+                f"duration {self.duration} at dt {self.dt} exceeds {MAX_STEPS} timesteps"
+            )
         sensors = frozenset(self.sensors)
         if not sensors <= set(SENSOR_OPTIONS):
             raise InputError(f"unknown sensors {sorted(sensors - set(SENSOR_OPTIONS))}")
@@ -288,57 +296,65 @@ def steady_state_gain(
 
 
 def _parse_current_profile(entry) -> Callable[[float], float] | float:
-    if isinstance(entry, (int, float)):
-        return float(entry)
-    if isinstance(entry, dict):
-        kind = entry.get("kind", "constant")
-        if kind == "constant":
-            return float(entry.get("value", 0.0))
-        if kind == "sine":
-            amplitude = float(entry.get("amplitude", 0.0))
-            freq = float(entry.get("frequency_hz", 0.0))
-            return lambda t: amplitude * math.sin(2.0 * math.pi * freq * t)
-        raise InputError(f"unknown current profile kind {kind!r}")
-    raise InputError("i_out must be a number or a profile object")
+    if not isinstance(entry, dict):
+        return _number(entry, '"i_out"')
+    kind = entry.get("kind", "constant")
+    if kind == "constant":
+        return _number(entry.get("value", 0.0), '"i_out" value')
+    if kind == "sine":
+        amplitude = _number(entry.get("amplitude", 0.0), '"i_out" amplitude')
+        freq = _number(entry.get("frequency_hz", 0.0), '"i_out" frequency_hz')
+        return lambda t: amplitude * math.sin(2.0 * math.pi * freq * t)
+    raise InputError(f"unknown current profile kind {kind!r}")
 
 
-def _params_from_dict(data: dict | None, default: CellParameters) -> CellParameters:
+def _params_from_dict(data, default: CellParameters, what: str) -> CellParameters:
     if data is None:
         return default
+    data = _object(data, what)
     try:
         return CellParameters(
-            r_p=float(data["r_p"]),
-            c_p=float(data["c_p"]),
-            r_o=float(data["r_o"]),
-            v_ocv=float(data["v_ocv"]),
+            r_p=_number(data["r_p"], f"{what} r_p"),
+            c_p=_number(data["c_p"], f"{what} c_p"),
+            r_o=_number(data["r_o"], f"{what} r_o"),
+            v_ocv=_number(data["v_ocv"], f"{what} v_ocv"),
         )
     except KeyError as exc:
         raise InputError(f"cell parameters missing field {exc.args[0]!r}") from None
 
 
+def _fault_from_dict(entry: dict, position: int) -> FaultStep:
+    # Only step faults exist; a declared profile must say so.
+    if entry.get("profile", "step") != "step":
+        raise InputError("only step fault profiles are supported")
+    try:
+        return FaultStep(
+            signal=entry["signal"],
+            onset=_number(entry.get("onset", 0.0), f"fault {position} onset"),
+            magnitude=_number(entry["magnitude"], f"fault {position} magnitude"),
+        )
+    except KeyError as exc:
+        raise InputError(f"fault {position} missing field {exc.args[0]!r}") from None
+
+
 def scenario_from_dict(data: dict) -> SimScenario:
     """Build a scenario from its JSON object form."""
-    if "mode" not in data:
-        raise InputError("scenario requires a 'mode' field")
-    faults = tuple(
-        FaultStep(
-            signal=f["signal"],
-            onset=float(f.get("onset", 0.0)),
-            magnitude=float(f["magnitude"]),
-            profile=f.get("profile", "step"),
-        )
-        for f in data.get("faults", ())
-    )
+    data = _object(data, "scenario JSON")
+    if not isinstance(data.get("mode"), str):
+        raise InputError("scenario requires a string 'mode' field")
     return SimScenario(
         mode=data["mode"],
-        dt=float(data.get("dt", 1e-5)),
-        duration=float(data.get("duration", 0.02)),
-        truth=_params_from_dict(data.get("truth_params"), NOMINAL_CELL),
-        nominal=_params_from_dict(data.get("nominal_params"), NOMINAL_CELL),
+        dt=_number(data.get("dt", 1e-5), '"dt"'),
+        duration=_number(data.get("duration", 0.02), '"duration"'),
+        truth=_params_from_dict(data.get("truth_params"), NOMINAL_CELL, '"truth_params"'),
+        nominal=_params_from_dict(data.get("nominal_params"), NOMINAL_CELL, '"nominal_params"'),
         i_out=_parse_current_profile(data.get("i_out", 0.0)),
-        faults=faults,
-        v_p_initial=float(data.get("v_p_initial", 0.0)),
-        sensors=frozenset(data.get("sensors", ())),
+        faults=tuple(
+            _fault_from_dict(f, position)
+            for position, f in enumerate(_objects(data.get("faults", []), '"faults"'))
+        ),
+        v_p_initial=_number(data.get("v_p_initial", 0.0), '"v_p_initial"'),
+        sensors=frozenset(_names(data.get("sensors", []), '"sensors"')),
     )
 
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
-
-from .errors import InputError, InternalConsistencyError, OracleBoundError
-
-#: Largest model (by equation count) the exhaustive oracle accepts.
-DEFAULT_ORACLE_BOUND = 16
+from .errors import InputError, InternalConsistencyError
 
 
 def _unique(items: Iterable[str], what: str) -> tuple[str, ...]:
@@ -140,12 +133,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def equation_to_unknown(self) -> dict[str, str]:
-        return {e: x for e, x in self.pairs}
-
-    def unknown_to_equation(self) -> dict[str, str]:
-        return {x: e for e, x in self.pairs}
 
 
 class PartPair(NamedTuple):
@@ -427,17 +414,6 @@ def detectability_set(model: StructuralModel) -> tuple[frozenset[str], frozenset
     return _split_by_plus(model, plus_part(model))
 
 
-def is_isolable(model: StructuralModel, fault_i: str, fault_j: str) -> bool:
-    """True when ``fault_i`` stays detectable after removing ``fault_j``'s equation."""
-    if fault_i == fault_j:
-        raise InputError("isolability of a fault from itself is undefined")
-    for f in (fault_i, fault_j):
-        if f not in model.fault_map:
-            raise InputError(f"fault {f!r} is not declared in the model")
-    reduced = model.remove_equation(model.fault_map[fault_j])
-    return model.fault_map[fault_i] in plus_part(reduced)
-
-
 def _canonical_partition(cells: Iterable[frozenset[str]]) -> tuple[frozenset[str], ...]:
     return tuple(sorted(cells, key=sorted))
 
@@ -463,24 +439,6 @@ def _split_by_plus(model: StructuralModel, plus: frozenset[str]) -> tuple[frozen
     return detectable, frozenset(model.faults) - detectable
 
 
-def isolability_matrix(model: StructuralModel) -> IsolabilityMatrix:
-    """Pairwise non-isolability matrix over the detectable faults.
-
-    Computed by direct pairwise removal, independently of the fine-block
-    partition, so the two routes can be cross-checked against each other.
-    """
-    detectable, _ = detectability_set(model)
-    order = tuple(sorted(detectable))
-    entries = tuple(
-        tuple(
-            True if i == j else not is_isolable(model, fi, fj)
-            for j, fj in enumerate(order)
-        )
-        for i, fi in enumerate(order)
-    )
-    return IsolabilityMatrix(order, entries)
-
-
 def partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
     """Non-isolability matrix induced by a report's partition cells."""
     order = tuple(sorted(report.detectable))
@@ -490,48 +448,3 @@ def partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
         for fi in order
     )
     return IsolabilityMatrix(order, entries)
-
-
-def _oracle_matching_size(model: StructuralModel) -> int:
-    """Maximum matching cardinality via scipy's Hopcroft-Karp.
-
-    Kept deliberately separate from the hand-written augmenting-path code
-    so the oracle exercises an independent implementation.
-    """
-    if not model.equations or not model.unknowns:
-        return 0
-    eq_index = {e: i for i, e in enumerate(model.equations)}
-    var_index = {x: j for j, x in enumerate(model.unknowns)}
-    indptr = np.zeros(len(model.equations) + 1, dtype=np.int32)
-    cols: list[int] = []
-    for e in model.equations:
-        cols.extend(sorted(var_index[x] for x in model.incidence[e]))
-        indptr[eq_index[e] + 1] = len(cols)
-    if not cols:
-        return 0
-    graph = csr_matrix(
-        (np.ones(len(cols), dtype=np.int8), np.asarray(cols, dtype=np.int32), indptr),
-        shape=(len(model.equations), len(model.unknowns)),
-    )
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return int((match != -1).sum())
-
-
-def oracle_plus_membership(
-    model: StructuralModel, equation: str, *, bound: int = DEFAULT_ORACLE_BOUND
-) -> bool:
-    """Test oracle for overdetermined-part membership.
-
-    An equation lies in the overdetermined part exactly when some maximum
-    matching leaves it exposed, i.e. when removing it does not reduce the
-    maximum matching cardinality.  Only intended for validating
-    :func:`dm_decompose` on small models; larger inputs are refused.
-    """
-    if len(model.equations) > bound:
-        raise OracleBoundError(
-            f"oracle refuses models with more than {bound} equations "
-            f"(got {len(model.equations)})"
-        )
-    if equation not in model.incidence:
-        raise InputError(f"unknown equation {equation!r}")
-    return _oracle_matching_size(model.remove_equation(equation)) == _oracle_matching_size(model)

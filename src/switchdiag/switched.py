@@ -12,7 +12,6 @@ classes, and configurations that agree on the per-class instance counts
 produce models that are identical up to instance renaming.
 """
 
-import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ __all__ = [
     "enumerate_reduced_configurations",
     "instance_name",
     "instantiate",
+    "mode_class",
     "parse_configuration",
     "representative_configuration",
     "structural_mode_classes",
@@ -82,6 +82,8 @@ class SubmoduleTemplate:
 
     def __post_init__(self):
         modes = tuple(self.modes)
+        if not modes:
+            raise InputError("a template needs at least one mode")
         if len(set(modes)) != len(modes):
             raise InputError("duplicate mode identifiers")
         equations = tuple(self.equations)
@@ -173,19 +175,18 @@ class Configuration:
 class ReducedConfiguration:
     """Configuration class determined by per-mode-class instance counts.
 
-    ``inserted_count`` is the number of instances in the first (insertion)
-    structural class; ``class_counts`` carries the full count vector for
-    templates with more than two classes.
+    ``class_counts[i]`` is the number of instances whose mode lies in the
+    template's ``i``-th structural class (see :func:`structural_mode_classes`);
+    ``class_counts[0]`` is therefore the inserted count.
     """
 
-    inserted_count: int
-    class_counts: tuple[int, ...] = ()
+    class_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.inserted_count < 0:
-            raise InputError("inserted count must be non-negative")
-        if not self.class_counts:
-            object.__setattr__(self, "class_counts", (self.inserted_count,))
+        counts = tuple(self.class_counts)
+        if any(c < 0 for c in counts):
+            raise InputError(f"class counts {counts} must be non-negative")
+        object.__setattr__(self, "class_counts", counts)
 
 
 def _mode_signature(template: SubmoduleTemplate, mode: str) -> tuple:
@@ -265,47 +266,43 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
     )
 
 
+def mode_class(template_classes: Sequence[frozenset[str]], mode: str) -> int:
+    """Index of the structural class ``mode`` belongs to."""
+    for i, cls in enumerate(template_classes):
+        if mode in cls:
+            return i
+    raise InputError(f"mode {mode!r} belongs to no structural class")
+
+
 def canonicalize(
     template_classes: Sequence[frozenset[str]], config: Configuration
 ) -> ReducedConfiguration:
     """Reduce a configuration to its per-class instance counts."""
     counts = [0] * len(template_classes)
     for mode in config.modes:
-        for i, cls in enumerate(template_classes):
-            if mode in cls:
-                counts[i] += 1
-                break
-        else:
-            raise InputError(f"mode {mode!r} belongs to no structural class")
-    return ReducedConfiguration(inserted_count=counts[0], class_counts=tuple(counts))
+        counts[mode_class(template_classes, mode)] += 1
+    return ReducedConfiguration(tuple(counts))
 
 
 def _compositions(total: int, parts: int):
-    # All count vectors of length `parts` summing to `total`.
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        previous = -1
-        counts = []
-        for cut in cuts + (total + parts - 1,):
-            counts.append(cut - previous - 1)
-            previous = cut
-        yield tuple(counts)
+    # All count vectors of length `parts` summing to `total`, ascending.
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 def enumerate_reduced_configurations(switched: SwitchedModel) -> tuple[ReducedConfiguration, ...]:
     """All configuration classes that can differ structurally.
 
-    With the usual two structural classes this is the ``n + 1`` classes of
-    0..n inserted instances; templates with another class count fall back
-    to enumerating every per-class count vector.
+    One class per per-class count vector summing to ``n``, in ascending
+    order; with the usual two structural classes these are the ``n + 1``
+    classes of 0..n inserted instances.
     """
     classes = structural_mode_classes(switched.template)
-    n = switched.n
-    if len(classes) == 2:
-        return tuple(ReducedConfiguration(k, (k, n - k)) for k in range(n + 1))
-    return tuple(
-        ReducedConfiguration(counts[0], counts)
-        for counts in sorted(_compositions(n, len(classes)), reverse=True)
-    )
+    return tuple(map(ReducedConfiguration, _compositions(switched.n, len(classes))))
 
 
 def representative_configuration(
@@ -319,17 +316,13 @@ def representative_configuration(
     """
     classes = structural_mode_classes(switched.template)
     counts = reduced.class_counts
-    if len(counts) != len(classes):
-        if len(classes) == 2 and len(counts) == 1:
-            counts = (reduced.inserted_count, switched.n - reduced.inserted_count)
-        else:
-            raise InputError("reduced configuration does not match the template's classes")
-    if sum(counts) != switched.n or any(c < 0 for c in counts):
-        raise InputError(f"class counts {counts} do not sum to n={switched.n}")
-    reps = [min(cls, key=switched.template.modes.index) for cls in classes]
+    if len(counts) != len(classes) or sum(counts) != switched.n:
+        raise InputError(
+            f"class counts {counts} do not fit {len(classes)} mode classes and n={switched.n}"
+        )
     modes: list[str] = []
-    for rep, count in zip(reps, counts):
-        modes.extend([rep] * count)
+    for cls, count in zip(classes, counts):
+        modes.extend([min(cls, key=switched.template.modes.index)] * count)
     return Configuration(tuple(modes))
 
 

@@ -148,7 +148,8 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_reduction_soundness():
     with criterion(5, "all 64 raw configurations collapse to the 4 reduced classes", 10.0):
         switched, _ = bimmc.generate(3, "I")
-        assert structural_mode_classes(switched.template) == (
+        classes = structural_mode_classes(switched.template)
+        assert classes == (
             frozenset({"forward", "backward"}),
             frozenset({"bypass1", "bypass2"}),
         )
@@ -163,12 +164,12 @@ def test_criterion_5_reduction_soundness():
                 isolability_partition(instantiate(models[setup], config)),
                 catalogues[setup],
             )
-            return canonical_report(report, config)
+            return canonical_report(report, config, classes)
 
         reduced_results = {}
         for k in range(4):
             config = representative_configuration(
-                models["I"], ReducedConfiguration(k, (k, 3 - k))
+                models["I"], ReducedConfiguration((k, 3 - k))
             )
             reduced_results[k] = tuple(analyzed(s, config) for s in bimmc.SETUPS)
 
@@ -261,5 +262,7 @@ def test_criterion_8_structural_numerical_consistency():
         # Same operating point structurally: every submodule bypassed.
         report = analyze_configuration(3, "I", 0)
         assert report.non_detectable == {"f_iout"}
-        zero_inserted = compact(report, Configuration(("bypass1",) * 3))
+        switched, _ = bimmc.generate(3, "I")
+        classes = structural_mode_classes(switched.template)
+        zero_inserted = compact(report, Configuration(("bypass1",) * 3), classes)
         assert zero_inserted.non_detectable == {"f_iout"}

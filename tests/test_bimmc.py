@@ -140,7 +140,7 @@ class TestIsolabilityAgainstKnownResults:
         assert report.non_detectable == frozenset()
 
     def test_setup_two_insertion_voltage_sensor_uniquely_isolable(self):
-        from switchdiag.structural import is_isolable
+        from switchdiag.oraclecheck import is_isolable
 
         model, _ = flat("II", 3, ("forward", "forward", "bypass1"))
         assert not is_isolable(model, "f_Em,3", "f_vcell,3")

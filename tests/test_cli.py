@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from switchdiag import pipeline
+from switchdiag import bimmc, modelio, pipeline
 from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from switchdiag.errors import InternalConsistencyError
+from switchdiag.residuals import MAX_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -198,3 +203,221 @@ class TestResidual:
         path.write_text("{")
         code, _, _ = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
         assert code == EXIT_INPUT
+
+
+def _switched_payload(mutate):
+    switched, _ = bimmc.generate(2, "II")
+    data = modelio.switched_model_to_dict(switched, {"f_cell": bimmc.CELL_FAULTS})
+    mutate(data)
+    return data
+
+
+def _scenario_payload(mutate):
+    data = {
+        "mode": "insertion-forward",
+        "dt": 1e-4,
+        "duration": 0.02,
+        "i_out": {"kind": "sine", "amplitude": 2.0, "frequency_hz": 50.0},
+        "sensors": ["cell_current"],
+        "faults": [{"signal": "f_iout", "onset": 0.01, "magnitude": 1.0}],
+    }
+    mutate(data)
+    return data
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+
+    return mutate
+
+
+def _drop(*path):
+    *path, key = path
+
+    def mutate(data):
+        for step in path:
+            data = data[step]
+        del data[key]
+
+    return mutate
+
+
+class TestMalformedSwitchedModel:
+    @pytest.mark.parametrize("mutate", [
+        _set("template", []),
+        _set("n", "abc"),
+        _set("n", 2.5),
+        _set("n", True),
+        _set("global_equations", 5),
+        _set("template", "equations", 8, "variants", []),
+        _set("template", "equations", 0, "unknowns", "dv_p"),
+        _set("template", "modes", []),
+        _set("template", "mode_letters", ["I"]),
+        _set("global_equations", 0, "per_instance", 3),
+        _set("shared_unknowns", {"i_out": 1}),
+        _set("fault_aggregation", [1]),
+        _set("fault_aggregation", {"f_cell": "f_Ro"}),
+        _drop("template", "equations", 0, "id"),
+    ], ids=[
+        "template-list", "n-string", "n-fraction", "n-bool", "global-equations-number",
+        "variants-list", "unknowns-string", "no-modes", "mode-letters-list",
+        "per-instance-number", "shared-unknowns-object", "aggregation-list",
+        "aggregate-string", "equation-without-id",
+    ])
+    def test_is_input_error(self, capsys, tmp_path, mutate):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_switched_payload(mutate)))
+        code, _, err = run_cli(capsys, "analyze", "--model", str(path), "--config", "IB")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("mutate", [
+        _drop("faults", 0, "magnitude"),
+        _drop("faults", 0, "signal"),
+        _set("faults", 3),
+        _set("faults", [3]),
+        _set("truth_params", [1]),
+        _set("truth_params", {"r_p": 1e-3, "c_p": "x", "r_o": 1e-3, "v_ocv": 4.0}),
+        _set("dt", "x"),
+        _set("i_out", "amplitude", "x"),
+        _set("i_out", "frequency_hz", None),
+        _set("i_out", "x"),
+        _set("duration", 1e8),
+        _set("duration", 1e-4 * (MAX_STEPS + 1)),
+        _set("sensors", "cell_current"),
+        _set("mode", ["bypass"]),
+        _set("dt", math.inf),
+        _set("dt", math.nan),
+        _set("duration", math.inf),
+        _set("faults", 0, "onset", math.nan),
+        _set("faults", 0, "magnitude", math.inf),
+        _set("faults", 0, "magnitude", True),
+        _set("faults", 0, "profile", "ramp"),
+    ], ids=[
+        "fault-without-magnitude", "fault-without-signal", "faults-number", "fault-number",
+        "truth-params-list", "truth-param-string", "dt-string", "amplitude-string",
+        "frequency-null", "i-out-string", "duration-1e8", "steps-over-limit",
+        "sensors-string", "mode-list", "dt-inf", "dt-nan", "duration-inf", "onset-nan",
+        "magnitude-inf", "magnitude-bool", "ramp-profile",
+    ])
+    def test_is_input_error(self, capsys, tmp_path, mutate):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_payload(mutate)))
+        code, _, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_top_level_must_be_an_object(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("[]")
+        code, _, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+
+
+# -- fuzzed CLI inputs ----------------------------------------------------------
+
+# Replacement values stay small, so no mutated scenario asks for a long run.
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.sampled_from([-1.0, 0.0, 0.5, 2.0, 1e8, math.nan, math.inf, -math.inf])
+    | st.text(alphabet="IBefx_,1", max_size=4)
+)
+_json_values = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(alphabet="abx_", max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _paths(child, prefix + (index,))
+
+
+@st.composite
+def _mutated(draw, base):
+    # Replace or delete one randomly chosen node of the document, a few times.
+    data = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if not path:
+            data = draw(_json_values)
+            continue
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_json_values)
+        if not isinstance(data, (dict, list)):
+            break
+    return data
+
+
+_FLAT_MODEL = {
+    "equations": [
+        {"id": "e1", "unknowns": ["x"], "fault": "f1"},
+        {"id": "e2", "unknowns": ["x", "y"], "fault": "f2"},
+        {"id": "e3", "unknowns": ["y"]},
+    ],
+    "unknowns": ["x", "y"],
+}
+_SWITCHED_MODEL = _switched_payload(lambda data: None)
+_SCENARIO = _scenario_payload(lambda data: None)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzzedInputs:
+    """Mutated JSON documents either work or exit 2; no exception escapes."""
+
+    fuzz = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    def check(self, path, data, argv):
+        path.write_text(json.dumps(data))
+        code, err = _run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_INPUT), err
+        if code == EXIT_INPUT:
+            assert err.startswith("error:")
+
+    @fuzz
+    @given(data=_mutated(_FLAT_MODEL))
+    def test_flat_model(self, tmp_path, data):
+        path = tmp_path / "model.json"
+        self.check(path, data, ["analyze", "--model", str(path), "--matrix"])
+
+    @fuzz
+    @given(data=_mutated(_SWITCHED_MODEL))
+    def test_switched_model(self, tmp_path, data):
+        path = tmp_path / "model.json"
+        self.check(path, data, ["analyze", "--model", str(path), "--config", "IB"])
+
+    @fuzz
+    @given(data=_mutated(_SCENARIO))
+    def test_scenario(self, tmp_path, data):
+        path = tmp_path / "scenario.json"
+        self.check(path, data, ["residual", "--scenario", str(path), "--gains"])

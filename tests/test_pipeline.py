@@ -1,5 +1,6 @@
 import pytest
 
+from switchdiag import bimmc, pipeline
 from switchdiag.errors import InputError, InternalConsistencyError
 from switchdiag.pipeline import (
     analyze_configuration,
@@ -12,9 +13,10 @@ from switchdiag.pipeline import (
     sweep_report_from_json,
 )
 from switchdiag.structural import IsolabilityReport, partition_matrix
-from switchdiag.switched import Configuration
+from switchdiag.switched import Configuration, structural_mode_classes
 
 PAIR = frozenset({"f_cell,k", "f_vcell,k"})
+CLASSES = structural_mode_classes(bimmc.generate(1, "I")[0].template)
 
 # Golden rendering of sweep(3); every cell is also pinned individually by
 # the acceptance gate in tests/test_acceptance.py.
@@ -63,7 +65,7 @@ class TestCompact:
     def test_two_inserted_one_bypassed(self):
         report = analyze_configuration(3, "II", 2)
         config = Configuration(("forward", "forward", "bypass1"))
-        c = compact(report, config)
+        c = compact(report, config, CLASSES)
         assert c.non_isolable_insertion == ()
         assert c.non_isolable_bypass == (PAIR,)
         assert c.pack_membership == {"f_iout": None, "f_vout": None}
@@ -74,14 +76,14 @@ class TestCompact:
             (frozenset({"f_a,1"}), frozenset({"f_b,2"})),
             frozenset(),
         )
-        c = compact(report, Configuration(("forward", "bypass1")))
+        c = compact(report, Configuration(("forward", "bypass1")), CLASSES)
         assert c.non_isolable_insertion == ()
         assert c.non_isolable_bypass == ()
 
     def test_one_inserted_setup_one(self):
         report = analyze_configuration(3, "I", 1)
         config = Configuration(("forward", "bypass1", "bypass1"))
-        c = compact(report, config)
+        c = compact(report, config, CLASSES)
         assert c.non_isolable_insertion == (
             frozenset({"f_cell,k", "f_vcell,k", "f_iout"}),
         )
@@ -90,7 +92,7 @@ class TestCompact:
 
     def test_absent_mode_class_is_none(self):
         report = analyze_configuration(3, "I", 3)
-        c = compact(report, Configuration(("forward",) * 3))
+        c = compact(report, Configuration(("forward",) * 3), CLASSES)
         assert c.non_isolable_bypass is None
         assert c.non_isolable_insertion == (PAIR,)
 
@@ -101,7 +103,7 @@ class TestCompact:
             frozenset(),
         )
         with pytest.raises(InternalConsistencyError, match="spans submodules"):
-            compact(report, Configuration(("forward", "forward")))
+            compact(report, Configuration(("forward", "forward")), CLASSES)
 
     def test_pack_only_cell_is_an_internal_error(self):
         report = IsolabilityReport(
@@ -110,7 +112,7 @@ class TestCompact:
             frozenset(),
         )
         with pytest.raises(InternalConsistencyError, match="pack-only"):
-            compact(report, Configuration(("forward",)))
+            compact(report, Configuration(("forward",)), CLASSES)
 
     def test_same_mode_submodules_must_be_isomorphic(self):
         report = IsolabilityReport(
@@ -123,7 +125,7 @@ class TestCompact:
             frozenset(),
         )
         with pytest.raises(InternalConsistencyError, match="different non-isolable sets"):
-            compact(report, Configuration(("forward", "forward")))
+            compact(report, Configuration(("forward", "forward")), CLASSES)
 
 
 class TestSweep:
@@ -211,6 +213,41 @@ class TestFullEnumeration:
     def test_representative_choice_does_not_matter_up_to_n4(self):
         # n=3 over all setups is covered by the acceptance gate.
         assert full_enumeration_check(4, "II") == 256
+
+
+class TestErrorContext:
+    def test_sweep_error_names_the_configuration(self, monkeypatch):
+        cross = frozenset({"f_vcell,1", "f_vcell,2"})
+        monkeypatch.setattr(
+            pipeline, "isolability_partition",
+            lambda model: IsolabilityReport(cross, (cross,), frozenset()),
+        )
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            pipeline.sweep(2, ["III"])
+        message = str(excinfo.value)
+        assert "spans submodules" in message
+        for context in ("setup III", "n=2", "class counts (0, 2)", "modes bypass1,bypass1"):
+            assert context in message
+
+    def test_enumeration_error_names_the_raw_configuration(self, monkeypatch):
+        # n=2 has three reduced classes; the fourth analysis is the first
+        # raw configuration, forward,forward.
+        calls = []
+        real = pipeline.isolability_partition
+
+        def failing_on_fourth(model):
+            calls.append(model)
+            if len(calls) == 4:
+                raise InternalConsistencyError("forced")
+            return real(model)
+
+        monkeypatch.setattr(pipeline, "isolability_partition", failing_on_fourth)
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            pipeline.full_enumeration_check(2, "II")
+        message = str(excinfo.value)
+        for context in ("setup II", "n=2", "class counts (2, 0)", "modes forward,forward"):
+            assert context in message
+        assert message.endswith("forced")
 
 
 class TestSweepInvariants:

@@ -48,8 +48,13 @@ class TestScenarioValidation:
             SimScenario(mode=MODE_FORWARD, faults=(FaultStep("f_icell", 0.0, 1.0),))
 
     def test_only_step_profiles(self):
-        with pytest.raises(InputError):
-            FaultStep("f_iout", 0.0, 1.0, profile="ramp")
+        def scenario(profile):
+            fault = {"signal": "f_iout", "onset": 0.0, "magnitude": 1.0, "profile": profile}
+            return scenario_from_dict({"mode": "insertion-forward", "faults": [fault]})
+
+        assert scenario("step").faults == (FaultStep("f_iout", 0.0, 1.0),)
+        with pytest.raises(InputError, match="step"):
+            scenario("ramp")
 
     def test_scenario_from_dict_round_trip(self):
         scenario = scenario_from_dict(

@@ -6,16 +6,20 @@ from hypothesis import given, strategies as st
 
 from switchdiag import bimmc
 from switchdiag.errors import InputError, OracleBoundError
-from switchdiag.oraclecheck import definitional_dm_decompose, oracle_partition, random_model
+from switchdiag.oraclecheck import (
+    definitional_dm_decompose,
+    is_isolable,
+    isolability_matrix,
+    oracle_partition,
+    oracle_plus_membership,
+    random_model,
+)
 from switchdiag.structural import (
     StructuralModel,
     detectability_set,
     dm_decompose,
-    is_isolable,
-    isolability_matrix,
     isolability_partition,
     max_matching,
-    oracle_plus_membership,
     partition_matrix,
     plus_part,
 )
@@ -223,7 +227,7 @@ class TestAgainstDefinitionalReference:
     def test_every_reduced_configuration_at_n16(self, setup):
         switched, _ = bimmc.generate(16, setup)
         for k in range(17):
-            config = representative_configuration(switched, ReducedConfiguration(k, (k, 16 - k)))
+            config = representative_configuration(switched, ReducedConfiguration((k, 16 - k)))
             model = instantiate(switched, config)
             assert dm_decompose(model) == definitional_dm_decompose(model), k
 

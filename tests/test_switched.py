@@ -5,12 +5,14 @@ import pytest
 
 from switchdiag import bimmc
 from switchdiag.errors import InputError
-from switchdiag.structural import isolability_partition
+from switchdiag.pipeline import compact
+from switchdiag.structural import IsolabilityReport, isolability_partition
 from switchdiag.switched import (
     Configuration,
     ModeGuardedEquation,
     ReducedConfiguration,
     SubmoduleTemplate,
+    SwitchedModel,
     canonicalize,
     enumerate_reduced_configurations,
     instantiate,
@@ -42,6 +44,25 @@ def random_template(rng: random.Random) -> SubmoduleTemplate:
         }
         equations.append(ModeGuardedEquation(f"e{i}", variants))
     return SubmoduleTemplate(modes, tuple(equations), locals_)
+
+
+def three_class_switched(n: int) -> SwitchedModel:
+    """Toy template whose three modes are structurally distinct."""
+    template = SubmoduleTemplate(
+        modes=("m1", "m2", "m3"),
+        equations=(
+            ModeGuardedEquation(
+                "e1",
+                {
+                    "m1": frozenset({"a", "b"}),
+                    "m2": frozenset({"a"}),
+                    "m3": frozenset(),
+                },
+            ),
+        ),
+        local_unknowns=("a", "b"),
+    )
+    return SwitchedModel(template, n, (), ())
 
 
 class TestModeClasses:
@@ -115,23 +136,23 @@ class TestCanonicalize:
                   ("bypass1", "forward", "forward")]
     )
     def test_two_inserted_regardless_of_position(self, fb_classes, modes):
-        assert canonicalize(fb_classes, Configuration(modes)).inserted_count == 2
+        assert canonicalize(fb_classes, Configuration(modes)).class_counts[0] == 2
 
     def test_all_bypass(self, fb_classes):
         config = Configuration(("bypass1", "bypass2", "bypass1"))
-        assert canonicalize(fb_classes, config).inserted_count == 0
+        assert canonicalize(fb_classes, config).class_counts[0] == 0
 
     def test_forward_and_backward_both_count_as_inserted(self, fb_classes):
         config = Configuration(("forward", "backward", "bypass1", "bypass2"))
         reduced = canonicalize(fb_classes, config)
-        assert reduced.inserted_count == 2
+        assert reduced.class_counts[0] == 2
         assert reduced.class_counts == (2, 2)
 
 
 class TestReducedEnumeration:
     def test_n_plus_one_classes(self, fb_switched):
         reduced = enumerate_reduced_configurations(fb_switched)
-        assert [r.inserted_count for r in reduced] == [0, 1, 2, 3]
+        assert [r.class_counts[0] for r in reduced] == [0, 1, 2, 3]
         assert len(list(itertools.product(bimmc.MODES, repeat=3))) == 64
 
     def test_single_module(self):
@@ -139,31 +160,41 @@ class TestReducedEnumeration:
         assert len(enumerate_reduced_configurations(switched)) == 2
 
     def test_representative_is_inserted_then_bypassed(self, fb_switched):
-        config = representative_configuration(fb_switched, ReducedConfiguration(2, (2, 1)))
+        config = representative_configuration(fb_switched, ReducedConfiguration((2, 1)))
         assert config.modes == ("forward", "forward", "bypass1")
 
     def test_multiclass_fallback_enumerates_count_vectors(self):
-        template = SubmoduleTemplate(
-            modes=("m1", "m2", "m3"),
-            equations=(
-                ModeGuardedEquation(
-                    "e1",
-                    {
-                        "m1": frozenset({"a", "b"}),
-                        "m2": frozenset({"a"}),
-                        "m3": frozenset(),
-                    },
-                ),
-            ),
-            local_unknowns=("a", "b"),
-        )
-        from switchdiag.switched import SwitchedModel
-
-        switched = SwitchedModel(template, 2, (), ())
-        reduced = enumerate_reduced_configurations(switched)
+        reduced = enumerate_reduced_configurations(three_class_switched(2))
         assert sorted(r.class_counts for r in reduced) == [
             (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_three_class_reduction_is_generic(self, n):
+        switched = three_class_switched(n)
+        classes = structural_mode_classes(switched.template)
+        assert len(classes) == 3
+        reduced = enumerate_reduced_configurations(switched)
+        assert [r.class_counts for r in reduced] == sorted(r.class_counts for r in reduced)
+        assert len(set(reduced)) == len(reduced)
+        for modes in itertools.product(switched.template.modes, repeat=n):
+            assert canonicalize(classes, Configuration(modes)) in reduced
+        for r in reduced:
+            assert canonicalize(classes, representative_configuration(switched, r)) == r
+
+    def test_compact_refuses_three_classes(self):
+        switched = three_class_switched(2)
+        classes = structural_mode_classes(switched.template)
+        report = IsolabilityReport(frozenset(), (), frozenset())
+        with pytest.raises(InputError, match="insertion and a bypass class"):
+            compact(report, Configuration(("m1", "m3")), classes)
+
+    def test_representative_rejects_mismatched_counts(self, fb_switched):
+        for counts in [(3,), (1, 1), (2, 1, 0)]:
+            with pytest.raises(InputError):
+                representative_configuration(fb_switched, ReducedConfiguration(counts))
+        with pytest.raises(InputError, match="non-negative"):
+            ReducedConfiguration((4, -1))
 
 
 class TestParseConfiguration:
