@@ -114,6 +114,8 @@ class CellParameters:
         for name in ("r_p", "c_p", "r_o", "v_ocv"):
             if not getattr(self, name) > 0:
                 raise InputError(f"cell parameter {name} must be strictly positive")
+        if not self.r_p * self.c_p > 0:
+            raise InputError("cell time constant r_p * c_p underflows to zero")
 
 
 NOMINAL_CELL = CellParameters(r_p=692e-6, c_p=1.52, r_o=1.2e-3, v_ocv=4.07)

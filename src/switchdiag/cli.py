@@ -18,7 +18,6 @@ import sys
 
 from . import bimmc, modelio, pipeline, residuals
 from .errors import InputError, InternalConsistencyError
-from .oraclecheck import run_oracle_check
 from .structural import dm_decompose, isolability_partition, partition_matrix
 from .switched import instantiate, parse_configuration
 
@@ -39,7 +38,7 @@ def _cmd_generate(args) -> int:
     payload = modelio.switched_model_to_dict(switched, {"f_cell": bimmc.CELL_FAULTS})
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with modelio.output_file(args.out) as handle:
             handle.write(text)
         print(f"wrote {args.out}")
     else:
@@ -75,13 +74,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    setups = (
-        [s.strip() for s in args.setups.split(",")] if args.setups else None
-    )
+    names = args.setups.split(",") if args.setups else list(bimmc.SETUPS)
+    setups = [_parse_setup(name.strip()) for name in names]
     if args.full_enumeration:
-        for setup in setups or list(bimmc.SETUPS):
-            checked = pipeline.full_enumeration_check(args.n, _parse_setup(setup))
-            print(f"setup {setup}: {checked} raw configurations match the reduced sweep")
+        for setup in setups:
+            checked = pipeline.full_enumeration_check(args.n, setup)
+            print(f"setup {setup.id}: {checked} raw configurations match the reduced sweep")
     report = pipeline.sweep(args.n, setups)
     sys.stdout.write(pipeline.render(report, args.format))
     return EXIT_OK
@@ -100,6 +98,10 @@ def _cmd_dm(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # Imported here, not at module level: oraclecheck loads scipy.sparse,
+    # which would add its import time and memory to every other command.
+    from .oraclecheck import run_oracle_check
+
     result = run_oracle_check(args.count, args.seed)
     print(
         f"oracle-check: {result.models_checked} models, "
@@ -119,14 +121,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_residual(args) -> int:
     if not args.out and not args.gains:
         raise InputError("nothing to do: pass --out and/or --gains")
-    try:
-        with open(args.scenario, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid scenario JSON: {exc}") from None
-    scenario = residuals.scenario_from_dict(data)
+    scenario = residuals.scenario_from_dict(modelio.read_json_object(args.scenario, "scenario"))
     if args.gains and len(scenario.faults) > 1:
         raise InputError("--gains needs at most one fault injection to attribute the gain")
     signals = residuals.simulate_plant(scenario)

@@ -9,6 +9,7 @@ lexicographically ordered so files are byte-stable.
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InputError
@@ -24,6 +25,8 @@ __all__ = [
     "decomposition_to_dict",
     "decomposition_to_dot",
     "load_any_model",
+    "output_file",
+    "read_json_object",
     "structural_model_from_dict",
     "structural_model_to_dict",
     "switched_model_from_dict",
@@ -220,18 +223,34 @@ def switched_model_from_dict(data: dict) -> tuple[SwitchedModel, dict[str, tuple
     return switched, aggregation
 
 
-def load_any_model(path: str | Path) -> dict:
-    """Read a model JSON object; the caller dispatches on the 'template' key."""
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Decode a UTF-8 JSON file holding an object; ``what`` names it in errors."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read model file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
+        raise InputError(f"cannot read {what} file: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        raise InputError(f"invalid {what} JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise InputError(f"model JSON in {path} must be an object, not {type(data).__name__}")
+        raise InputError(f"{what} JSON in {path} must be an object, not {type(data).__name__}")
     return data
+
+
+def load_any_model(path: str | Path) -> dict:
+    """Read a model JSON object; the caller dispatches on the 'template' key."""
+    return read_json_object(path, "model")
+
+
+@contextmanager
+def output_file(path: str | Path):
+    """Write ``path`` as UTF-8 text; an OSError while doing so is an InputError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def decomposition_to_dict(dm: DmDecomposition) -> dict:

@@ -32,7 +32,7 @@ from .errors import (
     ResidualModeError,
     SimulationDivergedError,
 )
-from .modelio import _names, _number, _object, _objects
+from .modelio import _names, _number, _object, _objects, output_file
 
 __all__ = [
     "FAULT_SIGNALS",
@@ -165,6 +165,23 @@ def _fault_series(scenario: SimScenario, signal: str, times: np.ndarray) -> np.n
     return series
 
 
+def _rc_link(current: np.ndarray, v0: float, params: CellParameters, dt: float) -> np.ndarray:
+    """RC-link voltage under ``current`` from ``v0`` by explicit Euler (plant and observer)."""
+    v_p = np.empty(len(current))
+    state = float(v0)
+    v_p[0] = state
+    decay = 1.0 / (params.r_p * params.c_p)
+    for i, current_i in enumerate(current[:-1].tolist()):
+        state = state + dt * (current_i / params.c_p - state * decay)
+        if not math.isfinite(state):
+            raise SimulationDivergedError(
+                f"RC-link state became non-finite at t={(i + 1) * dt:.6g} s; "
+                "reduce dt below the RC time constant"
+            )
+        v_p[i + 1] = state
+    return v_p
+
+
 def simulate_plant(scenario: SimScenario) -> PlantSignals:
     """Integrate the truth plant and emit faulted sensor signals.
 
@@ -179,19 +196,7 @@ def simulate_plant(scenario: SimScenario) -> PlantSignals:
 
     i_out = np.array([scenario.current_at(t) for t in times])
     i_cell = sign * i_out
-    v_p = np.empty(n_steps + 1)
-    state = float(scenario.v_p_initial)
-    v_p[0] = state
-    decay = 1.0 / (p.r_p * p.c_p)
-    for i in range(n_steps):
-        state = state + scenario.dt * (float(i_cell[i]) / p.c_p - state * decay)
-        if not math.isfinite(state):
-            raise SimulationDivergedError(
-                f"plant state became non-finite at t={times[i + 1]:.6g} s; "
-                "reduce dt below the RC time constant"
-            )
-        v_p[i + 1] = state
-
+    v_p = _rc_link(i_cell, scenario.v_p_initial, p, scenario.dt)
     v_cell = v_p + p.r_o * i_cell + p.v_ocv
     return PlantSignals(
         times=times,
@@ -235,12 +240,8 @@ def residual_setup1(
     voltage.
     """
     sign = _insertion_sign(mode, "setup1")
-    dt = signals.dt
-    tau_inv = 1.0 / (nominal.r_p * nominal.c_p)
-    v_hat = np.empty_like(signals.times)
-    v_hat[0] = signals.y_vcell[0] - sign * nominal.r_o * signals.y_iout[0] - nominal.v_ocv
-    for i in range(len(v_hat) - 1):
-        v_hat[i + 1] = v_hat[i] + dt * (sign * signals.y_iout[i] / nominal.c_p - v_hat[i] * tau_inv)
+    v0 = signals.y_vcell[0] - sign * nominal.r_o * signals.y_iout[0] - nominal.v_ocv
+    v_hat = _rc_link(sign * signals.y_iout, v0, nominal, signals.dt)
     r = signals.y_vcell - v_hat - sign * nominal.r_o * signals.y_iout - nominal.v_ocv
     return ResidualTrace(signals.times, r, "setup1")
 
@@ -289,7 +290,12 @@ def steady_state_gain(
             f"trace tail is not stationary: spread {spread:.3e} vs mean {mean:.3e} "
             f"over the final {len(window)} samples"
         )
-    return mean / fault_magnitude
+    gain = mean / fault_magnitude
+    if not math.isfinite(gain):
+        raise SimulationDivergedError(
+            f"steady-state gain {gain} is non-finite; a signal overflowed"
+        )
+    return gain
 
 
 # -- scenario (de)serialization ------------------------------------------------
@@ -390,7 +396,7 @@ def write_traces_csv(
 
     columns = [("r_setup1_V", "setup1"), ("r_cellcurrent_A", "cell_current"),
                ("r_redundant_A", "redundant_output")]
-    with open(path, "w", newline="") as handle:
+    with output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s"] + [label for label, _ in columns])
         for i, t in enumerate(times):

@@ -12,6 +12,7 @@ All types are immutable after construction and all operations are pure
 functions of their inputs, so models can be shared freely across threads.
 """
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +24,8 @@ from .errors import InputError, InternalConsistencyError
 def _unique(items: Iterable[str], what: str) -> tuple[str, ...]:
     out = tuple(items)
     if len(set(out)) != len(out):
-        raise InputError(f"duplicate {what} identifiers: {sorted(out)}")
+        repeated = sorted(x for x, count in Counter(out).items() if count > 1)
+        raise InputError(f"duplicate {what} identifiers: {repeated}")
     return out
 
 

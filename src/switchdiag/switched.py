@@ -232,24 +232,26 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
         if mode not in template.modes:
             raise InputError(f"unknown mode identifier {mode!r}")
 
+    # Ids and faults stay lists, so StructuralModel sees any name collision
+    # between instances and global equations and refuses it.
     local = set(template.local_unknowns)
-    equations: dict[str, frozenset[str]] = {}
-    faults: dict[str, str] = {}
+    equations: list[tuple[str, frozenset[str]]] = []
+    faults: list[tuple[str, str]] = []
     for k, mode in enumerate(config.modes, start=1):
         for eq in template.equations:
             eq_id = instance_name(eq.id, k)
-            equations[eq_id] = frozenset(
+            equations.append((eq_id, frozenset(
                 instance_name(x, k) if x in local else x for x in eq.variants[mode]
-            )
+            )))
             if eq.fault is not None:
-                faults[instance_name(eq.fault, k)] = eq_id
+                faults.append((instance_name(eq.fault, k), eq_id))
     for geq in switched.global_equations:
         expanded = set(geq.unknowns)
         for base in geq.per_instance:
             expanded.update(instance_name(base, k) for k in range(1, switched.n + 1))
-        equations[geq.id] = frozenset(expanded)
+        equations.append((geq.id, frozenset(expanded)))
         if geq.fault is not None:
-            faults[geq.fault] = geq.id
+            faults.append((geq.fault, geq.id))
 
     unknowns = [
         instance_name(x, k)
@@ -258,11 +260,11 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
     ]
     unknowns.extend(switched.shared_unknowns)
     return StructuralModel(
-        equations=tuple(equations),
+        equations=tuple(eq for eq, _ in equations),
         unknowns=tuple(unknowns),
-        incidence=equations,
-        faults=tuple(faults),
-        fault_map=faults,
+        incidence=dict(equations),
+        faults=tuple(f for f, _ in faults),
+        fault_map=dict(faults),
     )
 
 

@@ -2,10 +2,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import switchdiag
 from switchdiag import bimmc, modelio, pipeline
 from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from switchdiag.errors import InternalConsistencyError
@@ -16,6 +21,52 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_input_error(code, err):
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def strict_json(text):
+    # Python's json emits NaN and Infinity, which no JSON parser must accept.
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# Undecodable bytes, and nesting deeper than the decoder's recursion limit.
+NOT_UTF8 = b"\xff\xfe\x00x"
+DEEP = b"[" * 100_000 + b"]" * 100_000
+DEEP_SCENARIO = b'{"mode": "insertion-forward", "faults": ' + DEEP + b"}"
+# A nominal RC time constant of 1 us, below dt/2 at the default dt of 10 us.
+TINY_TAU = {"r_p": 1e-6, "c_p": 1.0, "r_o": 1.2e-3, "v_ocv": 4.07}
+DIVERGING_OBSERVER = {
+    "mode": "insertion-forward",
+    "nominal_params": TINY_TAU,
+    "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1.0}],
+}
+# Output current plus fault overflows to infinity in the measured signal.
+OVERFLOWING_SENSOR = {
+    "mode": "bypass",
+    "i_out": 1e308,
+    "sensors": ["extra_output_current"],
+    "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1e308}],
+}
+
+
+def test_cli_import_loads_no_scipy():
+    # oraclecheck loads scipy.sparse; only the oracle-check command may import it.
+    src = str(Path(switchdiag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, switchdiag.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -46,6 +97,12 @@ class TestGenerate:
     def test_bad_n_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "generate", "--n", "0", "--setup", "I")
         assert code == EXIT_INPUT
+
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(capsys, "generate", "--n", "2", "--setup", "I", "--out", str(out))
+        assert_input_error(code, err)
+        assert "cannot write" in err
 
 
 class TestAnalyze:
@@ -82,6 +139,14 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--model", "nope.json", "--config", "II")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["analyze", "dm"])
+    @pytest.mark.parametrize("content", [NOT_UTF8, DEEP], ids=["not-utf8", "deep"])
+    def test_unreadable_model_is_input_error(self, capsys, tmp_path, command, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, command, "--model", str(path))
+        assert_input_error(code, err)
 
     @pytest.mark.parametrize("payload", [
         [],
@@ -120,6 +185,13 @@ class TestSweep:
                                "--full-enumeration")
         assert code == EXIT_OK
         assert "16 raw configurations match" in out
+
+    def test_preset_prefix_with_full_enumeration(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--setups", "bimmc:I",
+                                 "--full-enumeration", "--format", "json")
+        assert code == EXIT_OK, err
+        assert out.startswith("setup I: 16 raw configurations match")
+        assert json.loads(out.split("\n", 1)[1])["setups"] == ["I"]
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def boom(n, setups=None):
@@ -204,9 +276,33 @@ class TestResidual:
         code, _, _ = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("content", [NOT_UTF8, DEEP_SCENARIO], ids=["not-utf8", "deep"])
+    def test_unreadable_scenario_is_input_error(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert_input_error(code, err)
 
-def _switched_payload(mutate):
-    switched, _ = bimmc.generate(2, "II")
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, scenario_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, "residual", "--scenario", str(scenario_path),
+                               "--out", str(out))
+        assert_input_error(code, err)
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize("scenario", [DIVERGING_OBSERVER, OVERFLOWING_SENSOR],
+                             ids=["diverging-observer", "overflowing-sensor"])
+    def test_non_finite_result_is_input_error(self, capsys, tmp_path, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert_input_error(code, err)
+        assert "non-finite" in err
+        assert out == ""
+
+
+def _switched_payload(mutate, setup="II"):
+    switched, _ = bimmc.generate(2, setup)
     data = modelio.switched_model_to_dict(switched, {"f_cell": bimmc.CELL_FAULTS})
     mutate(data)
     return data
@@ -277,6 +373,20 @@ class TestMalformedSwitchedModel:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mutate, duplicated", [
+        (_set("global_equations", 0, "id", "e1,1"), "duplicate equation identifiers: ['e1,1']"),
+        (_set("template", "equations", 4, "fault", "f_Ro"),
+         "duplicate fault identifiers: ['f_Ro,1', 'f_Ro,2']"),
+    ], ids=["global-id-collides-with-instance", "template-fault-twice"])
+    def test_name_collision_is_input_error(self, capsys, tmp_path, mutate, duplicated):
+        path = tmp_path / "model.json"
+        data = _switched_payload(mutate, setup="I")
+        del data["fault_aggregation"]
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "analyze", "--model", str(path), "--config", "IB")
+        assert_input_error(code, err)
+        assert duplicated in err
+
 
 class TestMalformedScenario:
     @pytest.mark.parametrize("mutate", [
@@ -301,12 +411,13 @@ class TestMalformedScenario:
         _set("faults", 0, "magnitude", math.inf),
         _set("faults", 0, "magnitude", True),
         _set("faults", 0, "profile", "ramp"),
+        _set("nominal_params", {"r_p": 1e-200, "c_p": 1e-200, "r_o": 1e-3, "v_ocv": 4.0}),
     ], ids=[
         "fault-without-magnitude", "fault-without-signal", "faults-number", "fault-number",
         "truth-params-list", "truth-param-string", "dt-string", "amplitude-string",
         "frequency-null", "i-out-string", "duration-1e8", "steps-over-limit",
         "sensors-string", "mode-list", "dt-inf", "dt-nan", "duration-inf", "onset-nan",
-        "magnitude-inf", "magnitude-bool", "ramp-profile",
+        "magnitude-inf", "magnitude-bool", "ramp-profile", "time-constant-underflow",
     ])
     def test_is_input_error(self, capsys, tmp_path, mutate):
         path = tmp_path / "scenario.json"
@@ -389,7 +500,7 @@ def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestFuzzedInputs:
@@ -399,10 +510,11 @@ class TestFuzzedInputs:
 
     def check(self, path, data, argv):
         path.write_text(json.dumps(data))
-        code, err = _run_quietly(argv)
+        code, out, err = _run_quietly(argv)
         assert code in (EXIT_OK, EXIT_INPUT), err
         if code == EXIT_INPUT:
             assert err.startswith("error:")
+        return code, out
 
     @fuzz
     @given(data=_mutated(_FLAT_MODEL))
@@ -418,6 +530,10 @@ class TestFuzzedInputs:
 
     @fuzz
     @given(data=_mutated(_SCENARIO))
+    @example(data=DIVERGING_OBSERVER)
+    @example(data=OVERFLOWING_SENSOR)
     def test_scenario(self, tmp_path, data):
         path = tmp_path / "scenario.json"
-        self.check(path, data, ["residual", "--scenario", str(path), "--gains"])
+        code, out = self.check(path, data, ["residual", "--scenario", str(path), "--gains"])
+        if code == EXIT_OK:
+            strict_json(out)

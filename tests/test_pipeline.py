@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from switchdiag import bimmc, pipeline
@@ -13,7 +15,7 @@ from switchdiag.pipeline import (
     sweep_report_from_json,
 )
 from switchdiag.structural import IsolabilityReport, partition_matrix
-from switchdiag.switched import Configuration, structural_mode_classes
+from switchdiag.switched import Configuration, canonicalize, structural_mode_classes
 
 PAIR = frozenset({"f_cell,k", "f_vcell,k"})
 CLASSES = structural_mode_classes(bimmc.generate(1, "I")[0].template)
@@ -213,6 +215,30 @@ class TestFullEnumeration:
     def test_representative_choice_does_not_matter_up_to_n4(self):
         # n=3 over all setups is covered by the acceptance gate.
         assert full_enumeration_check(4, "II") == 256
+
+    @pytest.mark.parametrize("n, setup, count", [
+        (16, "I", 40), (16, "II", 40), (16, "III", 40), (16, "IV", 40), (32, "IV", 8),
+    ])
+    def test_sampled_raw_configurations_match_reduced(self, n, setup, count):
+        # 4^n raw configurations are out of reach here, so a fixed-seed sample
+        # goes through full_enumeration_check's route: each canonical report
+        # must equal that of its reduced class's representative.
+        setup_obj = bimmc.sensor_setup(setup)
+        switched, catalogue = bimmc.generate(n, setup_obj)
+        expected = pipeline._reduced_results(
+            setup_obj, switched, catalogue, pipeline.canonical_report
+        )
+        classes = structural_mode_classes(switched.template)
+        rng = random.Random(f"{n}-{setup}")
+        for _ in range(count):
+            inserted = set(rng.sample(range(n), rng.randint(0, n)))
+            config = Configuration(tuple(
+                rng.choice(sorted(classes[0] if i in inserted else classes[1]))
+                for i in range(n)
+            ))
+            report = pipeline._analyze(switched, catalogue, config)
+            assert (pipeline.canonical_report(report, config, classes)
+                    == expected[canonicalize(classes, config)]), config.modes
 
 
 class TestErrorContext:

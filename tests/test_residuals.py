@@ -159,6 +159,14 @@ class TestSetup1Residual:
         r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
         assert np.max(np.abs(r.values)) < 1e-6
 
+    def test_divergence_raises(self):
+        # Euler is unstable once the nominal time constant is below dt/2.
+        _, signals = run(i_out=1.0)
+        nominal = CellParameters(r_p=1e-6, c_p=1.0, r_o=NOMINAL_CELL.r_o, v_ocv=NOMINAL_CELL.v_ocv)
+        assert nominal.r_p * nominal.c_p < signals.dt / 2
+        with pytest.raises(SimulationDivergedError):
+            residual_setup1(signals, nominal, MODE_FORWARD)
+
 
 class TestCellCurrentResidual:
     def test_unit_gain_for_output_current_fault(self):
