@@ -17,7 +17,6 @@ Core layers:
 from .bimmc import (
     NOMINAL_CELL,
     CellParameters,
-    FaultCatalogue,
     SensorSetup,
     aggregate_report,
     generate,

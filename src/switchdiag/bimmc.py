@@ -37,13 +37,13 @@ from .switched import (
 __all__ = [
     "BYPASS_MODES",
     "CELL_FAULTS",
+    "FAULT_AGGREGATION",
     "INSERTION_MODES",
     "MODES",
     "MODE_LETTERS",
     "NOMINAL_CELL",
     "SETUPS",
     "CellParameters",
-    "FaultCatalogue",
     "SensorSetup",
     "aggregate_report",
     "build_catalogue",
@@ -63,6 +63,8 @@ SHARED_UNKNOWNS = ("v_out", "i_out")
 
 #: Parameter-drift fault signals aggregated into the general cell fault.
 CELL_FAULTS = ("f_Ro", "f_Cp", "f_Rp", "f_Em")
+#: Template-level aggregation pattern of every generated model.
+FAULT_AGGREGATION = {"f_cell": CELL_FAULTS}
 
 
 @dataclass(frozen=True)
@@ -121,53 +123,6 @@ class CellParameters:
 NOMINAL_CELL = CellParameters(r_p=692e-6, c_p=1.52, r_o=1.2e-3, v_ocv=4.07)
 
 
-@dataclass(frozen=True)
-class FaultCatalogue:
-    """Fault inventory of one generated model plus the aggregation map.
-
-    ``aggregation`` sends each aggregate fault name to its disjoint set of
-    constituent (internal) fault names; faults outside every aggregate
-    represent themselves.
-    """
-
-    sm_faults: Mapping[int, tuple[str, ...]]
-    pack_faults: tuple[str, ...]
-    aggregation: Mapping[str, frozenset[str]]
-
-    def __post_init__(self):
-        sm_faults = {k: tuple(v) for k, v in dict(self.sm_faults).items()}
-        pack_faults = tuple(self.pack_faults)
-        aggregation = {a: frozenset(c) for a, c in dict(self.aggregation).items()}
-        known = {f for fs in sm_faults.values() for f in fs} | set(pack_faults)
-        seen: set[str] = set()
-        for aggregate, constituents in aggregation.items():
-            if constituents & seen:
-                raise InputError("aggregation cells must be disjoint")
-            seen |= constituents
-            if not constituents <= known:
-                raise InputError(f"aggregate {aggregate!r} references unknown faults")
-            if aggregate in known:
-                raise InputError(f"aggregate name {aggregate!r} collides with a model fault")
-        object.__setattr__(self, "sm_faults", sm_faults)
-        object.__setattr__(self, "pack_faults", pack_faults)
-        object.__setattr__(self, "aggregation", aggregation)
-
-    @property
-    def model_faults(self) -> tuple[str, ...]:
-        """Every fault present in the generated model (internal level)."""
-        out: list[str] = []
-        for k in sorted(self.sm_faults):
-            out.extend(self.sm_faults[k])
-        out.extend(self.pack_faults)
-        return tuple(out)
-
-    def aggregate_of(self, fault: str) -> str:
-        for aggregate, constituents in self.aggregation.items():
-            if fault in constituents:
-                return aggregate
-        return fault
-
-
 def _submodule_equations(setup: SensorSetup) -> tuple[ModeGuardedEquation, ...]:
     def uniform(eq_id, unknowns, fault=None):
         return ModeGuardedEquation.uniform(eq_id, unknowns, MODES, fault)
@@ -224,7 +179,7 @@ def _global_equations(setup: SensorSetup) -> tuple[GlobalEquation, ...]:
     return tuple(equations)
 
 
-def generate(n: int, setup: str | SensorSetup) -> tuple[SwitchedModel, FaultCatalogue]:
+def generate(n: int, setup: str | SensorSetup) -> tuple[SwitchedModel, dict[str, str]]:
     """Switched model and fault catalogue for ``n`` submodules under a setup.
 
     Equation counts come out as 10n+2 / 10n+3 / 11n+2 / 11n+3 for setups
@@ -245,77 +200,77 @@ def generate(n: int, setup: str | SensorSetup) -> tuple[SwitchedModel, FaultCata
         global_equations=_global_equations(setup),
         shared_unknowns=SHARED_UNKNOWNS,
     )
-    catalogue = build_catalogue(switched, {"f_cell": CELL_FAULTS})
-    return switched, catalogue
+    return switched, build_catalogue(switched, FAULT_AGGREGATION)
 
 
 def build_catalogue(
     switched: SwitchedModel, aggregation_pattern: Mapping[str, tuple[str, ...]]
-) -> FaultCatalogue:
-    """Derive the instance-level fault catalogue of a switched model.
+) -> dict[str, str]:
+    """Map every fault of the instantiated model to the name reports use.
 
     ``aggregation_pattern`` maps template-level aggregate names to the
-    template-level fault names they absorb; both get the instance suffix.
+    disjoint template-level faults they absorb; both get the instance
+    suffix.  Faults outside every aggregate report under their own name.
     """
     template_faults = [eq.fault for eq in switched.template.equations if eq.fault is not None]
-    sm_faults = {
-        k: tuple(instance_name(f, k) for f in template_faults)
-        for k in range(1, switched.n + 1)
-    }
-    pack_faults = tuple(
-        geq.fault for geq in switched.global_equations if geq.fault is not None
-    )
-    aggregation = {}
+    aggregate_by_fault: dict[str, str] = {}
     for aggregate, constituents in aggregation_pattern.items():
         missing = set(constituents) - set(template_faults)
         if missing:
             raise InputError(f"aggregation pattern references unknown faults {sorted(missing)}")
-        for k in range(1, switched.n + 1):
-            aggregation[instance_name(aggregate, k)] = frozenset(
-                instance_name(c, k) for c in constituents
-            )
-    return FaultCatalogue(sm_faults, pack_faults, aggregation)
+        for fault in constituents:
+            if aggregate_by_fault.setdefault(fault, aggregate) != aggregate:
+                raise InputError("aggregation cells must be disjoint")
+    instances = range(1, switched.n + 1)
+    catalogue = {
+        instance_name(f, k): instance_name(aggregate_by_fault.get(f, f), k)
+        for k in instances
+        for f in template_faults
+    }
+    catalogue.update(
+        (geq.fault, geq.fault) for geq in switched.global_equations if geq.fault is not None
+    )
+    for k in instances:
+        for aggregate in aggregation_pattern:
+            if instance_name(aggregate, k) in catalogue:
+                raise InputError(
+                    f"aggregate name {instance_name(aggregate, k)!r} collides with a model fault"
+                )
+    return catalogue
 
 
-def aggregate_report(report: IsolabilityReport, catalogue: FaultCatalogue) -> IsolabilityReport:
-    """Collapse an internal-fault report to the aggregate fault level.
+def aggregate_report(report: IsolabilityReport, catalogue: Mapping[str, str]) -> IsolabilityReport:
+    """Collapse an internal-fault report to the names ``catalogue`` reports.
 
-    An aggregate is detectable when any constituent is; two aggregate-level
+    An aggregate is detectable when any constituent is; two reported
     faults are non-isolable when some constituent of one shares a partition
-    cell chain with some constituent of the other, so cells touching the
-    same aggregate are merged.
+    cell chain with some constituent of the other, so cells holding the
+    same reported name are merged.
     """
-    known = set(catalogue.model_faults)
     for fault in report.detectable | report.non_detectable:
-        if fault not in known:
+        if fault not in catalogue:
             raise InputError(f"report fault {fault!r} is absent from the catalogue")
 
-    detectable = frozenset(catalogue.aggregate_of(f) for f in report.detectable)
-    non_detectable = (
-        frozenset(catalogue.aggregate_of(f) for f in report.non_detectable) - detectable
-    )
+    detectable = frozenset(catalogue[f] for f in report.detectable)
+    non_detectable = frozenset(catalogue[f] for f in report.non_detectable) - detectable
 
-    # Union-find over internal cells; cells containing constituents of the
-    # same aggregate collapse into one aggregate-level cell.
-    cells = list(report.non_isolable_partition)
-    parent = list(range(len(cells)))
+    # Union-find over reported names: each cell joins the names it holds.
+    parent: dict[str, str] = {}
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(name: str) -> str:
+        parent.setdefault(name, name)
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
 
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
+    for cell in report.non_isolable_partition:
+        roots = [find(catalogue[f]) for f in cell]
+        for root in roots[1:]:
+            parent[find(root)] = find(roots[0])
 
-    for constituents in catalogue.aggregation.values():
-        touching = [i for i, cell in enumerate(cells) if cell & constituents]
-        for i in touching[1:]:
-            union(touching[0], i)
-
-    merged: dict[int, set[str]] = {}
-    for i, cell in enumerate(cells):
-        merged.setdefault(find(i), set()).update(catalogue.aggregate_of(f) for f in cell)
+    merged: dict[str, set[str]] = {}
+    for name in parent:
+        merged.setdefault(find(name), set()).add(name)
     partition = _canonical_partition(frozenset(c) for c in merged.values())
     return IsolabilityReport(detectable, partition, non_detectable)

@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import bimmc, modelio, pipeline, residuals
 from .errors import InputError, InternalConsistencyError
 from .structural import dm_decompose, isolability_partition, partition_matrix
@@ -35,7 +37,7 @@ def _parse_setup(text: str) -> bimmc.SensorSetup:
 
 def _cmd_generate(args) -> int:
     switched, _catalogue = bimmc.generate(args.n, _parse_setup(args.setup))
-    payload = modelio.switched_model_to_dict(switched, {"f_cell": bimmc.CELL_FAULTS})
+    payload = modelio.switched_model_to_dict(switched, bimmc.FAULT_AGGREGATION)
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     if args.out:
         with modelio.output_file(args.out) as handle:
@@ -47,25 +49,24 @@ def _cmd_generate(args) -> int:
 
 
 def _load_flat_model(path: str, config_text: str | None):
-    """Load either model flavor; returns (flat model, aggregation or None)."""
+    """Load either model flavor; returns (flat model, fault catalogue)."""
     data = modelio.load_any_model(path)
     if "template" in data:
         switched, pattern = modelio.switched_model_from_dict(data)
         if config_text is None:
             raise InputError("switched models require --config")
         config = parse_configuration(switched.template, config_text, switched.n)
-        catalogue = bimmc.build_catalogue(switched, pattern) if pattern else None
+        catalogue = bimmc.build_catalogue(switched, pattern)
         return instantiate(switched, config), catalogue
     if config_text is not None:
         raise InputError("--config only applies to switched models")
-    return modelio.structural_model_from_dict(data), None
+    model = modelio.structural_model_from_dict(data)
+    return model, {f: f for f in model.faults}
 
 
 def _cmd_analyze(args) -> int:
     model, catalogue = _load_flat_model(args.model, args.config)
-    report = isolability_partition(model)
-    if catalogue is not None:
-        report = bimmc.aggregate_report(report, catalogue)
+    report = bimmc.aggregate_report(isolability_partition(model), catalogue)
     sys.stdout.write(pipeline.render_report(report, args.format))
     if args.matrix:
         sys.stdout.write("\nNon-isolability matrix (• = not isolable):\n")
@@ -76,11 +77,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     names = args.setups.split(",") if args.setups else list(bimmc.SETUPS)
     setups = [_parse_setup(name.strip()) for name in names]
+    report = pipeline.sweep(args.n, setups)
     if args.full_enumeration:
         for setup in setups:
             checked = pipeline.full_enumeration_check(args.n, setup)
             print(f"setup {setup.id}: {checked} raw configurations match the reduced sweep")
-    report = pipeline.sweep(args.n, setups)
     sys.stdout.write(pipeline.render(report, args.format))
     return EXIT_OK
 
@@ -124,19 +125,20 @@ def _cmd_residual(args) -> int:
     scenario = residuals.scenario_from_dict(modelio.read_json_object(args.scenario, "scenario"))
     if args.gains and len(scenario.faults) > 1:
         raise InputError("--gains needs at most one fault injection to attribute the gain")
-    signals = residuals.simulate_plant(scenario)
-    traces = residuals.applicable_residuals(scenario, signals)
+    magnitude = scenario.faults[0].magnitude if scenario.faults else 0.0
+    # An overflow surfaces as a non-finite residual or gain error, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        signals = residuals.simulate_plant(scenario)
+        traces = residuals.applicable_residuals(scenario, signals)
+        if args.gains:
+            gains = {
+                kind: None if trace is None else residuals.steady_state_gain(trace, magnitude)
+                for kind, trace in traces.items()
+            }
     if args.out:
         residuals.write_traces_csv(args.out, signals.times, traces)
         print(f"wrote {args.out}")
     if args.gains:
-        magnitude = scenario.faults[0].magnitude if scenario.faults else 0.0
-        gains = {
-            kind: (
-                None if trace is None else residuals.steady_state_gain(trace, magnitude)
-            )
-            for kind, trace in traces.items()
-        }
         sys.stdout.write(
             json.dumps({"fault_magnitude": magnitude, "gains": gains}, indent=2) + "\n"
         )

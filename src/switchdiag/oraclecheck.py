@@ -243,27 +243,23 @@ class OracleCheckResult:
         return not self.failures
 
 
-def run_oracle_check(
-    count: int,
-    seed: int,
-    max_equations: int = 12,
-    max_unknowns: int = 10,
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> OracleCheckResult:
+def run_oracle_check(count: int, seed: int) -> OracleCheckResult:
     """Cross-validate ``count`` random models; collect any disagreements."""
+    if count < 1:
+        raise InputError(f"model count must be >= 1 (got {count})")
     rng = random.Random(seed)
     result = OracleCheckResult()
     for index in range(count):
-        model = random_model(rng, max_equations, max_unknowns)
+        model = random_model(rng)
         result.models_checked += 1
         over = dm_decompose(model).over.equations
         for eq in model.equations:
             result.equations_checked += 1
-            if (eq in over) != oracle_plus_membership(model, eq, bound=bound):
+            if (eq in over) != oracle_plus_membership(model, eq):
                 result.failures.append(
                     f"model {index}: redundancy of {eq} disagrees with the oracle"
                 )
-        expected = oracle_partition(model, bound=bound)
+        expected = oracle_partition(model)
         result.pairs_checked += (
             len(expected.detectable) * (len(expected.detectable) - 1) // 2
         )

@@ -20,6 +20,7 @@ from .errors import InputError, InternalConsistencyError
 from .structural import (
     IsolabilityMatrix,
     IsolabilityReport,
+    _unique,
     isolability_partition,
 )
 from .switched import (
@@ -119,7 +120,7 @@ def _context(setup: bimmc.SensorSetup, reduced: ReducedConfiguration, config: Co
 
 
 def _analyze(
-    switched: SwitchedModel, catalogue: bimmc.FaultCatalogue, config: Configuration
+    switched: SwitchedModel, catalogue: Mapping[str, str], config: Configuration
 ) -> IsolabilityReport:
     return bimmc.aggregate_report(isolability_partition(instantiate(switched, config)), catalogue)
 
@@ -127,7 +128,7 @@ def _analyze(
 def _reduced_results(
     setup: bimmc.SensorSetup,
     switched: SwitchedModel,
-    catalogue: bimmc.FaultCatalogue,
+    catalogue: Mapping[str, str],
     condense: Callable,
 ) -> dict[ReducedConfiguration, object]:
     # ``condense(report, config, classes)`` on the representative of every
@@ -221,12 +222,13 @@ def sweep(n: int, setups: Sequence[str | bimmc.SensorSetup] | None = None) -> Sw
     if n < 1:
         raise InputError(f"submodule count must be >= 1 (got {n})")
     setup_objs = [bimmc.sensor_setup(s) for s in (setups or list(bimmc.SETUPS))]
+    setup_ids = _unique((s.id for s in setup_objs), "sensor setup")
     cells: dict[tuple[str, int], CompactIsolability] = {}
     for setup in setup_objs:
         switched, catalogue = bimmc.generate(n, setup)
         for reduced, cell in _reduced_results(setup, switched, catalogue, compact).items():
             cells[(setup.id, reduced.class_counts[0])] = cell
-    return SweepReport(n, tuple(s.id for s in setup_objs), cells)
+    return SweepReport(n, setup_ids, cells)
 
 
 # -- raw-configuration cross-validation --------------------------------------

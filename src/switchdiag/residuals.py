@@ -63,6 +63,11 @@ SENSOR_OPTIONS = ("cell_current", "extra_output_current")
 #: default dt); each step keeps several float samples in memory.
 MAX_STEPS = 1_000_000
 
+#: Largest tail spread, relative to the tail mean, of a stationary trace.
+STATIONARY_REL_TOL = 1e-3
+#: Magnitude below which a residual counts as zero.
+ZERO_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FaultStep:
@@ -155,6 +160,12 @@ class ResidualTrace:
             raise InputError("times and values must have equal length")
         if len(self.times) < 2:
             raise InputError("a trace needs at least two samples")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            raise SimulationDivergedError(
+                f"residual {self.kind!r} became non-finite at "
+                f"t={self.times[finite.argmin()]:.6g} s; a signal overflowed"
+            )
 
 
 def _fault_series(scenario: SimScenario, signal: str, times: np.ndarray) -> np.ndarray:
@@ -265,27 +276,22 @@ def residual_redundant_output(signals: PlantSignals) -> ResidualTrace:
     return ResidualTrace(signals.times, r, "redundant_output")
 
 
-def steady_state_gain(
-    trace: ResidualTrace,
-    fault_magnitude: float,
-    *,
-    rel_tol: float = 1e-3,
-    zero_tol: float = 1e-9,
-) -> float:
+def steady_state_gain(trace: ResidualTrace, fault_magnitude: float) -> float:
     """Mean of the final 10% window divided by the fault magnitude.
 
-    Refuses traces whose tail still varies by more than ``rel_tol``
-    relative to the window mean.  A zero fault magnitude yields gain 0 for
-    an (essentially) zero trace and is an error otherwise.
+    Refuses traces whose tail still varies by more than
+    ``STATIONARY_REL_TOL`` relative to the window mean.  A zero fault
+    magnitude yields gain 0 for an (essentially) zero trace and is an
+    error otherwise.
     """
     if fault_magnitude == 0:
-        if np.max(np.abs(trace.values)) <= zero_tol:
+        if np.max(np.abs(trace.values)) <= ZERO_TOL:
             return 0.0
         raise InputError("cannot normalize a non-zero residual by a zero fault magnitude")
     window = trace.values[-max(1, len(trace.values) // 10):]
     mean = float(window.mean())
     spread = float(window.max() - window.min())
-    if spread > rel_tol * max(abs(mean), zero_tol):
+    if spread > STATIONARY_REL_TOL * max(abs(mean), ZERO_TOL):
         raise NonStationaryError(
             f"trace tail is not stationary: spread {spread:.3e} vs mean {mean:.3e} "
             f"over the final {len(window)} samples"

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from switchdiag.bimmc import (
+    FAULT_AGGREGATION,
     NOMINAL_CELL,
+    SETUPS,
     CellParameters,
-    FaultCatalogue,
     aggregate_report,
+    build_catalogue,
     generate,
     sensor_setup,
 )
@@ -68,7 +70,7 @@ class TestGenerate:
         per_sm = {"f_Ro", "f_Cp", "f_Rp", "f_Em", "f_vcell"}
         expected = {f"{f},{k}" for k in (1, 2, 3) for f in per_sm} | {"f_iout"}
         assert set(model.faults) == expected
-        assert set(catalogue.model_faults) == expected
+        assert set(catalogue) == expected
 
     def test_setup_two_has_output_voltage_equation(self):
         model, _ = flat("II", 2)
@@ -80,7 +82,7 @@ class TestGenerate:
         model, catalogue = flat("III", 1)
         assert len(model.equations) == 13
         assert "f_icell,1" in model.faults
-        assert catalogue.aggregate_of("f_icell,1") == "f_icell,1"
+        assert catalogue["f_icell,1"] == "f_icell,1"
 
     def test_each_fault_on_exactly_one_equation(self):
         for setup in ("I", "II", "III", "IV"):
@@ -101,11 +103,21 @@ class TestGenerate:
         assert model.incidence["e2,0"] == {"i_out"}
         assert model.incidence["e3,0"] == {"v_out"}
 
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_catalogue_covers_exactly_the_model_faults(self, setup, n):
+        switched, _ = generate(n, setup)
+        model = instantiate(switched, Configuration(("forward",) * n))
+        catalogue = build_catalogue(switched, FAULT_AGGREGATION)
+        assert sorted(catalogue) == sorted(model.faults)
+
     def test_aggregation_pattern(self):
         _, catalogue = flat("I", 2)
-        assert catalogue.aggregation["f_cell,1"] == {"f_Ro,1", "f_Cp,1", "f_Rp,1", "f_Em,1"}
-        assert catalogue.aggregate_of("f_Rp,2") == "f_cell,2"
-        assert catalogue.aggregate_of("f_iout") == "f_iout"
+        assert {f for f, name in catalogue.items() if name == "f_cell,1"} == {
+            "f_Ro,1", "f_Cp,1", "f_Rp,1", "f_Em,1"
+        }
+        assert catalogue["f_Rp,2"] == "f_cell,2"
+        assert catalogue["f_iout"] == "f_iout"
 
 
 class TestDetectability:
@@ -157,11 +169,7 @@ class TestAggregateReport:
             aggregate_report(report, catalogue)
 
     def test_disjoint_unique_aggregates_stay_unique(self):
-        catalogue = FaultCatalogue(
-            sm_faults={1: ("a1", "a2", "b1")},
-            pack_faults=("p",),
-            aggregation={"A": frozenset({"a1", "a2"})},
-        )
+        catalogue = {"a1": "A", "a2": "A", "b1": "b1", "p": "p"}
         report = IsolabilityReport(
             frozenset({"a1", "a2", "b1", "p"}),
             (frozenset({"a1"}), frozenset({"a2"}), frozenset({"b1"}), frozenset({"p"})),
@@ -173,11 +181,7 @@ class TestAggregateReport:
         }
 
     def test_detectable_when_any_constituent_detectable(self):
-        catalogue = FaultCatalogue(
-            sm_faults={1: ("a1", "a2")},
-            pack_faults=(),
-            aggregation={"A": frozenset({"a1", "a2"})},
-        )
+        catalogue = {"a1": "A", "a2": "A"}
         report = IsolabilityReport(
             frozenset({"a1"}), (frozenset({"a1"}),), frozenset({"a2"})
         )
@@ -202,8 +206,9 @@ class TestAggregateReport:
                 for i, group in enumerate(groups)
                 if len(group) > 1 and rng.random() < 0.7
             }
-            catalogue = FaultCatalogue(
-                sm_faults={1: tuple(model.faults)}, pack_faults=(), aggregation=aggregation
+            catalogue = {f: f for f in model.faults}
+            catalogue.update(
+                (f, aggregate) for aggregate, group in aggregation.items() for f in group
             )
             report = isolability_partition(model)
             merged = aggregate_report(report, catalogue)
@@ -221,6 +226,13 @@ class TestAggregateReport:
                         cells.append(merged_cell)
                         changed = True
             expected = {
-                frozenset(catalogue.aggregate_of(f) for f in cell) for cell in cells
+                frozenset(catalogue[f] for f in cell) for cell in cells
             }
             assert set(merged.non_isolable_partition) == expected
+
+    def test_identity_catalogue_leaves_report_unchanged(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            model = random_model(rng, max_equations=10, max_unknowns=8)
+            report = isolability_partition(model)
+            assert aggregate_report(report, {f: f for f in model.faults}) == report

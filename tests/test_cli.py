@@ -186,6 +186,14 @@ class TestSweep:
         assert code == EXIT_OK
         assert "16 raw configurations match" in out
 
+    @pytest.mark.parametrize("setups", ["I,I", "I,bimmc:I"])
+    def test_repeated_setup_is_input_error(self, capsys, setups):
+        code, out, err = run_cli(capsys, "sweep", "--n", "1", "--setups", setups,
+                                 "--full-enumeration")
+        assert_input_error(code, err)
+        assert "duplicate sensor setup identifiers: ['I']" in err
+        assert out == ""
+
     def test_preset_prefix_with_full_enumeration(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "2", "--setups", "bimmc:I",
                                  "--full-enumeration", "--format", "json")
@@ -225,6 +233,12 @@ class TestOracleCheck:
         assert code == EXIT_OK
         assert "25 models" in out
         assert "all decompositions agree" in out
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_input_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "oracle-check", "--count", count)
+        assert_input_error(code, err)
+        assert out == ""
 
 
 class TestResidual:
@@ -295,15 +309,18 @@ class TestResidual:
     def test_non_finite_result_is_input_error(self, capsys, tmp_path, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
-        code, out, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
-        assert_input_error(code, err)
-        assert "non-finite" in err
-        assert out == ""
+        out_csv = tmp_path / "trace.csv"
+        for output in (["--gains"], ["--out", str(out_csv)]):
+            code, out, err = run_cli(capsys, "residual", "--scenario", str(path), *output)
+            assert_input_error(code, err)
+            assert "non-finite" in err
+            assert out == ""
+            assert not out_csv.exists()
 
 
 def _switched_payload(mutate, setup="II"):
     switched, _ = bimmc.generate(2, setup)
-    data = modelio.switched_model_to_dict(switched, {"f_cell": bimmc.CELL_FAULTS})
+    data = modelio.switched_model_to_dict(switched, bimmc.FAULT_AGGREGATION)
     mutate(data)
     return data
 
@@ -386,6 +403,16 @@ class TestMalformedSwitchedModel:
         code, _, err = run_cli(capsys, "analyze", "--model", str(path), "--config", "IB")
         assert_input_error(code, err)
         assert duplicated in err
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_aggregate_name_collision_is_input_error(self, capsys, tmp_path, k):
+        # A pack fault named like the k-th cell aggregate.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_switched_payload(_set("global_equations", 1, "fault",
+                                                          f"f_cell,{k}"))))
+        code, _, err = run_cli(capsys, "analyze", "--model", str(path), "--config", "IB")
+        assert_input_error(code, err)
+        assert f"aggregate name 'f_cell,{k}' collides with a model fault" in err
 
 
 class TestMalformedScenario:

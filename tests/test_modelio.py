@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given
 
-from switchdiag.bimmc import CELL_FAULTS, build_catalogue, generate
+from switchdiag.bimmc import FAULT_AGGREGATION, build_catalogue, generate
 from switchdiag.errors import InputError
 from switchdiag.modelio import (
     decomposition_to_dict,
@@ -53,7 +53,7 @@ class TestSwitchedModelJson:
     @pytest.mark.parametrize("setup", ["I", "IV"])
     def test_round_trip_reproduces_instantiations(self, setup):
         switched, catalogue = generate(2, setup)
-        data = switched_model_to_dict(switched, {"f_cell": CELL_FAULTS})
+        data = switched_model_to_dict(switched, FAULT_AGGREGATION)
         loaded, pattern = switched_model_from_dict(json.loads(json.dumps(data)))
         config = Configuration(("forward", "bypass1"))
         assert instantiate(loaded, config) == instantiate(switched, config)

@@ -162,6 +162,10 @@ class TestSweep:
             a, b = report.cells[(setup, 2)], report.cells[(setup, 3)]
             assert a == b
 
+    def test_repeated_setup_refused(self):
+        with pytest.raises(InputError, match=r"duplicate sensor setup identifiers: \['II'\]"):
+            sweep(1, ["I", "II", bimmc.SETUPS["II"]])
+
 
 class TestRender:
     def test_markdown_golden(self, sweep3):
