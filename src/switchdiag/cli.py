@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bimmc, modelio, pipeline, residuals
 from .errors import InputError, InternalConsistencyError
 from .structural import dm_decompose, isolability_partition, partition_matrix
@@ -126,15 +124,13 @@ def _cmd_residual(args) -> int:
     if args.gains and len(scenario.faults) > 1:
         raise InputError("--gains needs at most one fault injection to attribute the gain")
     magnitude = scenario.faults[0].magnitude if scenario.faults else 0.0
-    # An overflow surfaces as a non-finite residual or gain error, not a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        signals = residuals.simulate_plant(scenario)
-        traces = residuals.applicable_residuals(scenario, signals)
-        if args.gains:
-            gains = {
-                kind: None if trace is None else residuals.steady_state_gain(trace, magnitude)
-                for kind, trace in traces.items()
-            }
+    signals = residuals.simulate_plant(scenario)
+    traces = residuals.applicable_residuals(scenario, signals)
+    if args.gains:
+        gains = {
+            kind: None if trace is None else residuals.steady_state_gain(trace, magnitude)
+            for kind, trace in traces.items()
+        }
     if args.out:
         residuals.write_traces_csv(args.out, signals.times, traces)
         print(f"wrote {args.out}")

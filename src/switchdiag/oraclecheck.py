@@ -42,6 +42,7 @@ __all__ = [
     "oracle_partition",
     "oracle_plus_membership",
     "random_model",
+    "remove_equation",
     "run_oracle_check",
 ]
 
@@ -72,6 +73,20 @@ def random_model(
     )
 
 
+def remove_equation(model: StructuralModel, equation: str) -> StructuralModel:
+    """Return ``model`` without ``equation`` (and without the fault on it)."""
+    if equation not in model.incidence:
+        raise InputError(f"unknown equation {equation!r}")
+    keep_faults = tuple(f for f in model.faults if model.fault_map[f] != equation)
+    return StructuralModel(
+        equations=tuple(e for e in model.equations if e != equation),
+        unknowns=model.unknowns,
+        incidence={e: v for e, v in model.incidence.items() if e != equation},
+        faults=keep_faults,
+        fault_map={f: model.fault_map[f] for f in keep_faults},
+    )
+
+
 def is_isolable(model: StructuralModel, fault_i: str, fault_j: str) -> bool:
     """True when ``fault_i`` stays detectable after removing ``fault_j``'s equation."""
     if fault_i == fault_j:
@@ -79,7 +94,7 @@ def is_isolable(model: StructuralModel, fault_i: str, fault_j: str) -> bool:
     for f in (fault_i, fault_j):
         if f not in model.fault_map:
             raise InputError(f"fault {f!r} is not declared in the model")
-    reduced = model.remove_equation(model.fault_map[fault_j])
+    reduced = remove_equation(model, model.fault_map[fault_j])
     return model.fault_map[fault_i] in plus_part(reduced)
 
 
@@ -143,7 +158,7 @@ def oracle_plus_membership(
         )
     if equation not in model.incidence:
         raise InputError(f"unknown equation {equation!r}")
-    return _oracle_matching_size(model.remove_equation(equation)) == _oracle_matching_size(model)
+    return _oracle_matching_size(remove_equation(model, equation)) == _oracle_matching_size(model)
 
 
 def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
@@ -161,7 +176,7 @@ def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
     for eq in sorted(over):
         if eq in assigned:
             continue
-        block = over - plus_part(model.remove_equation(eq))
+        block = over - plus_part(remove_equation(model, eq))
         if block & assigned or eq not in block:
             raise InternalConsistencyError("fine blocks do not form a partition")
         assigned |= block
@@ -184,16 +199,14 @@ def oracle_partition(model: StructuralModel, bound: int = DEFAULT_ORACLE_BOUND) 
 
     # Cache matching sizes: nu(M \ {e}) and nu(M \ {e_i, e_j}).
     nu_without = {
-        model.fault_map[f]: _oracle_matching_size(model.remove_equation(model.fault_map[f]))
+        model.fault_map[f]: _oracle_matching_size(remove_equation(model, model.fault_map[f]))
         for f in det
     }
     non_isolable: dict[tuple[str, str], bool] = {}
     for i, fi in enumerate(det):
         for fj in det[i + 1:]:
             ei, ej = model.fault_map[fi], model.fault_map[fj]
-            nu_pair = _oracle_matching_size(
-                model.remove_equation(ei).remove_equation(ej)
-            )
+            nu_pair = _oracle_matching_size(remove_equation(remove_equation(model, ei), ej))
             # fi isolable from fj iff e_i stays redundant once e_j is gone.
             ij = not (nu_pair == nu_without[ej])
             ji = not (nu_pair == nu_without[ei])

@@ -19,6 +19,7 @@ term alone is only the direct feedthrough and understates the stationary
 deviation.
 """
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -168,6 +169,17 @@ class ResidualTrace:
             )
 
 
+def _overflow_checked(fn):
+    # Runs ``fn`` under one numpy error state for the whole call: an overflow
+    # surfaces as a non-finite residual or gain error, not a numpy warning.
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def _fault_series(scenario: SimScenario, signal: str, times: np.ndarray) -> np.ndarray:
     series = np.zeros_like(times)
     for fault in scenario.faults:
@@ -193,6 +205,7 @@ def _rc_link(current: np.ndarray, v0: float, params: CellParameters, dt: float) 
     return v_p
 
 
+@_overflow_checked
 def simulate_plant(scenario: SimScenario) -> PlantSignals:
     """Integrate the truth plant and emit faulted sensor signals.
 
@@ -239,6 +252,7 @@ def _insertion_sign(mode: str, residual: str) -> float:
     return _MODE_SIGNS[mode]
 
 
+@_overflow_checked
 def residual_setup1(
     signals: PlantSignals, nominal: CellParameters, mode: str
 ) -> ResidualTrace:
@@ -257,6 +271,7 @@ def residual_setup1(
     return ResidualTrace(signals.times, r, "setup1")
 
 
+@_overflow_checked
 def residual_cell_current(signals: PlantSignals) -> ResidualTrace:
     """Output-current vs cell-current comparison; unit gain from either fault."""
     if signals.y_icell is None:
@@ -266,6 +281,7 @@ def residual_cell_current(signals: PlantSignals) -> ResidualTrace:
     return ResidualTrace(signals.times, r, "cell_current")
 
 
+@_overflow_checked
 def residual_redundant_output(signals: PlantSignals) -> ResidualTrace:
     """Difference of the two output-current sensors; valid in every mode."""
     if signals.y_iout_extra is None:
@@ -276,6 +292,7 @@ def residual_redundant_output(signals: PlantSignals) -> ResidualTrace:
     return ResidualTrace(signals.times, r, "redundant_output")
 
 
+@_overflow_checked
 def steady_state_gain(trace: ResidualTrace, fault_magnitude: float) -> float:
     """Mean of the final 10% window divided by the fault magnitude.
 

@@ -7,6 +7,21 @@ from switchdiag.structural import StructuralModel
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
+# A nominal RC time constant of 1 us, below dt/2 at the default dt of 10 us.
+TINY_TAU = {"r_p": 1e-6, "c_p": 1.0, "r_o": 1.2e-3, "v_ocv": 4.07}
+DIVERGING_OBSERVER = {
+    "mode": "insertion-forward",
+    "nominal_params": TINY_TAU,
+    "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1.0}],
+}
+# Output current plus fault overflows to infinity in the measured signal.
+OVERFLOWING_SENSOR = {
+    "mode": "bypass",
+    "i_out": 1e308,
+    "sensors": ["extra_output_current"],
+    "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1e308}],
+}
+
 
 @st.composite
 def models(draw, max_equations: int = 8, max_unknowns: int = 6, with_faults: bool = True):

@@ -16,6 +16,8 @@ from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from switchdiag.errors import InternalConsistencyError
 from switchdiag.residuals import MAX_STEPS
 
+from .conftest import DIVERGING_OBSERVER, OVERFLOWING_SENSOR
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -41,20 +43,6 @@ def strict_json(text):
 NOT_UTF8 = b"\xff\xfe\x00x"
 DEEP = b"[" * 100_000 + b"]" * 100_000
 DEEP_SCENARIO = b'{"mode": "insertion-forward", "faults": ' + DEEP + b"}"
-# A nominal RC time constant of 1 us, below dt/2 at the default dt of 10 us.
-TINY_TAU = {"r_p": 1e-6, "c_p": 1.0, "r_o": 1.2e-3, "v_ocv": 4.07}
-DIVERGING_OBSERVER = {
-    "mode": "insertion-forward",
-    "nominal_params": TINY_TAU,
-    "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1.0}],
-}
-# Output current plus fault overflows to infinity in the measured signal.
-OVERFLOWING_SENSOR = {
-    "mode": "bypass",
-    "i_out": 1e308,
-    "sensors": ["extra_output_current"],
-    "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1e308}],
-}
 
 
 def test_cli_import_loads_no_scipy():

@@ -17,6 +17,7 @@ from switchdiag.residuals import (
     FaultStep,
     ResidualTrace,
     SimScenario,
+    applicable_residuals,
     residual_cell_current,
     residual_redundant_output,
     residual_setup1,
@@ -24,6 +25,8 @@ from switchdiag.residuals import (
     simulate_plant,
     steady_state_gain,
 )
+
+from .conftest import OVERFLOWING_SENSOR
 
 FULL_GAIN = NOMINAL_CELL.r_p + NOMINAL_CELL.r_o  # stationary response, 1.892e-3 V/A
 TAU = NOMINAL_CELL.r_p * NOMINAL_CELL.c_p
@@ -251,3 +254,23 @@ class TestSteadyStateGain:
         signals = simulate_plant(scenario)
         r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
         assert np.max(np.abs(r.values)) > 1e-5
+
+
+class TestOverflowIsAnError:
+    """Library calls report overflow by their own error, never a numpy warning.
+
+    The suite turns every ``RuntimeWarning`` into an error, so a warning
+    would fail these tests before the expected error is raised.
+    """
+
+    def test_overflowing_sensor_scenario(self):
+        scenario = scenario_from_dict(OVERFLOWING_SENSOR)
+        signals = simulate_plant(scenario)
+        with pytest.raises(SimulationDivergedError, match="non-finite"):
+            applicable_residuals(scenario, signals)
+
+    def test_gain_of_a_tail_whose_mean_overflows(self):
+        times = np.arange(100) * 1e-5
+        trace = ResidualTrace(times, np.full(100, 1e308), "redundant_output")
+        with pytest.raises(SimulationDivergedError, match="non-finite"):
+            steady_state_gain(trace, 1.0)

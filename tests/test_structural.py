@@ -7,12 +7,14 @@ from hypothesis import given, strategies as st
 from switchdiag import bimmc
 from switchdiag.errors import InputError, OracleBoundError
 from switchdiag.oraclecheck import (
+    _oracle_matching_size,
     definitional_dm_decompose,
     is_isolable,
     isolability_matrix,
     oracle_partition,
     oracle_plus_membership,
     random_model,
+    remove_equation,
 )
 from switchdiag.structural import (
     StructuralModel,
@@ -64,7 +66,7 @@ class TestModelValidation:
 
     def test_remove_equation_drops_its_fault(self):
         model = model_of({"e1": {"x"}, "e2": {"x"}}, {"f1": "e1"})
-        reduced = model.remove_equation("e1")
+        reduced = remove_equation(model, "e1")
         assert reduced.equations == ("e2",)
         assert reduced.faults == ()
 
@@ -84,6 +86,14 @@ class TestMaxMatching:
     def test_deterministic_for_fixed_order(self):
         model = model_of({"e1": {"x", "y"}, "e2": {"x"}, "e3": {"y", "z"}})
         assert max_matching(model) == max_matching(model)
+
+    def test_size_agrees_with_scipy_hopcroft_karp(self):
+        # Failed searches keep their marks until one succeeds; the size must
+        # still be maximum.
+        rng = random.Random(31)
+        for index in range(600):
+            model = random_model(rng, max_equations=40, max_unknowns=40)
+            assert max_matching(model).size == _oracle_matching_size(model), index
 
     @given(models(with_faults=False))
     def test_pairs_are_valid_and_injective(self, model):
@@ -146,7 +156,7 @@ class TestCoarseDecomposition:
     def test_removal_never_grows_plus_part(self, model):
         plus = plus_part(model)
         for eq in model.equations:
-            assert plus_part(model.remove_equation(eq)) <= plus
+            assert plus_part(remove_equation(model, eq)) <= plus
 
     @given(models(with_faults=False))
     def test_agrees_with_matching_size_oracle(self, model):
@@ -171,7 +181,7 @@ class TestFineBlocks:
         block_of = {e: i for i, b in enumerate(dm.fine_blocks) for e in b}
         for ei, ej in itertools.permutations(sorted(dm.over.equations), 2):
             same_block = block_of[ei] == block_of[ej]
-            expelled = ei not in plus_part(model.remove_equation(ej))
+            expelled = ei not in plus_part(remove_equation(model, ej))
             assert same_block == expelled
 
     def test_blocks_partition_the_over_part(self):
@@ -213,6 +223,34 @@ class TestAgainstDefinitionalReference:
         for index in range(40):
             model = sparse_model(rng, rng.randint(1, 300))
             assert dm_decompose(model) == definitional_dm_decompose(model), index
+
+    def test_random_dense_models(self):
+        # Dense models have several exposed equations whose alternating paths
+        # meet.  A block rooted where they meet holds no exposed equation, so
+        # such a model has more blocks than surplus equations.
+        rng = random.Random(2024)
+        merging = 0
+        for index in range(1000):
+            model = random_model(rng, max_equations=40, max_unknowns=30)
+            dm = dm_decompose(model)
+            assert dm == definitional_dm_decompose(model), index
+            merging += len(dm.fine_blocks) > len(dm.over.equations) - len(dm.over.unknowns)
+        assert merging >= 250
+
+    def test_diamond_meeting_point_is_its_own_block(self):
+        # The greedy matching pairs mid1-x1, mid2-x2 and shared-y, leaving
+        # top1 and top2 exposed.  Their alternating paths run through mid1
+        # and mid2 and meet at ``shared``, which neither dominates: removing
+        # top1 also expels mid1, while removing ``shared`` expels only itself.
+        model = model_of({
+            "mid1": {"x1", "y"}, "mid2": {"x2", "y"}, "shared": {"y"},
+            "top1": {"x1"}, "top2": {"x2"},
+        })
+        dm = dm_decompose(model)
+        assert dm.fine_blocks == (
+            frozenset({"mid1", "top1"}), frozenset({"mid2", "top2"}), frozenset({"shared"}),
+        )
+        assert dm == definitional_dm_decompose(model)
 
     def test_random_models_over_part_matches_oracle(self):
         # The scipy matching-size oracle, far above its default size bound.
