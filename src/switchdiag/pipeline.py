@@ -46,7 +46,6 @@ __all__ = [
     "render_matrix",
     "render_report",
     "sweep",
-    "sweep_report_from_json",
 ]
 
 RENDER_FORMATS = ("md", "json", "csv")
@@ -382,18 +381,6 @@ def _compact_to_dict(cell: CompactIsolability) -> dict:
     }
 
 
-def _compact_from_dict(data: dict) -> CompactIsolability:
-    def sets(listed):
-        return None if listed is None else tuple(frozenset(s) for s in listed)
-
-    return CompactIsolability(
-        non_detectable=frozenset(data["non_detectable"]),
-        non_isolable_insertion=sets(data["non_isolable_insertion"]),
-        non_isolable_bypass=sets(data["non_isolable_bypass"]),
-        pack_membership=dict(data["pack_membership"]),
-    )
-
-
 def _render_json(report: SweepReport) -> str:
     payload = {
         "n": report.n,
@@ -405,15 +392,6 @@ def _render_json(report: SweepReport) -> str:
         ],
     }
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
-def sweep_report_from_json(text: str) -> SweepReport:
-    """Inverse of ``render(report, "json")``."""
-    data = json.loads(text)
-    cells = {
-        (entry["setup"], entry["k"]): _compact_from_dict(entry) for entry in data["cells"]
-    }
-    return SweepReport(data["n"], tuple(data["setups"]), cells)
 
 
 def _render_csv(report: SweepReport) -> str:

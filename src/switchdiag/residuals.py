@@ -20,6 +20,7 @@ deviation.
 """
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -64,6 +65,9 @@ SENSOR_OPTIONS = ("cell_current", "extra_output_current")
 #: default dt); each step keeps several float samples in memory.
 MAX_STEPS = 1_000_000
 
+#: Rows of the trace CSV formatted per block.
+_CSV_BLOCK_ROWS = 1 << 16
+
 #: Largest tail spread, relative to the tail mean, of a stationary trace.
 STATIONARY_REL_TOL = 1e-3
 #: Magnitude below which a residual counts as zero.
@@ -94,7 +98,9 @@ class SimScenario:
     duration: float = 0.02
     truth: CellParameters = NOMINAL_CELL
     nominal: CellParameters = NOMINAL_CELL
-    i_out: Callable[[float], float] | float = 0.0
+    #: Drive current: a constant, or a function of time that maps an array of
+    #: sample times to the currents at those times (see ``current_at``).
+    i_out: Callable[[np.ndarray], np.ndarray] | float = 0.0
     faults: tuple[FaultStep, ...] = ()
     v_p_initial: float = 0.0
     sensors: frozenset[str] = frozenset()
@@ -125,10 +131,10 @@ class SimScenario:
         object.__setattr__(self, "faults", tuple(self.faults))
         object.__setattr__(self, "sensors", sensors)
 
-    def current_at(self, t: float) -> float:
-        if callable(self.i_out):
-            return float(self.i_out(t))
-        return float(self.i_out)
+    def current_at(self, t: float | np.ndarray) -> np.ndarray:
+        """Drive current at ``t``, a scalar or an array, shaped like ``t``."""
+        value = self.i_out(t) if callable(self.i_out) else self.i_out
+        return np.broadcast_to(value, np.shape(t)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -189,36 +195,47 @@ def _fault_series(scenario: SimScenario, signal: str, times: np.ndarray) -> np.n
 
 
 def _rc_link(current: np.ndarray, v0: float, params: CellParameters, dt: float) -> np.ndarray:
-    """RC-link voltage under ``current`` from ``v0`` by explicit Euler (plant and observer)."""
-    v_p = np.empty(len(current))
-    state = float(v0)
-    v_p[0] = state
-    decay = 1.0 / (params.r_p * params.c_p)
-    for i, current_i in enumerate(current[:-1].tolist()):
-        state = state + dt * (current_i / params.c_p - state * decay)
-        if not math.isfinite(state):
-            raise SimulationDivergedError(
-                f"RC-link state became non-finite at t={(i + 1) * dt:.6g} s; "
-                "reduce dt below the RC time constant"
-            )
-        v_p[i + 1] = state
-    return v_p
+    """RC-link voltage under ``current`` from ``v0`` (plant and observer).
+
+    Exact zero-order-hold update ``v[k+1] = a v[k] + R_p (1 - a) i[k]`` with
+    ``a = exp(-dt / tau)``: stable and exact for piecewise-constant current
+    at every ``dt``.  The recurrence runs as a doubling (Hillis-Steele) scan:
+    after the pass with shift ``s``, each sample holds its last ``2s``
+    input terms.  The decay lies in (0, 1], so the pass factors ``a**s``
+    never grow, and the scan stops once one underflows to zero.
+    """
+    ratio = dt / (params.r_p * params.c_p)
+    v = np.empty(len(current))
+    v[0] = v0
+    v[1:] = params.r_p * -math.expm1(-ratio) * current[:-1]
+    shift, factor = 1, math.exp(-ratio)
+    while shift < len(v) and factor > 0:
+        v[shift:] += factor * v[:-shift]
+        shift, factor = 2 * shift, factor * factor
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise SimulationDivergedError(
+            f"RC-link state became non-finite at t={finite.argmin() * dt:.6g} s; "
+            "a signal overflowed"
+        )
+    return v
 
 
 @_overflow_checked
 def simulate_plant(scenario: SimScenario) -> PlantSignals:
     """Integrate the truth plant and emit faulted sensor signals.
 
-    Explicit Euler on the RC-link voltage; the cell current is the output
-    current with the mode's sign, zero in bypass.  Sensor faults enter the
-    measurements only, never the plant state.
+    Exact zero-order-hold update of the RC-link voltage, with the drive
+    current evaluated once over the whole time grid; the cell current is
+    the output current with the mode's sign, zero in bypass.  Sensor faults
+    enter the measurements only, never the plant state.
     """
     n_steps = int(round(scenario.duration / scenario.dt))
     times = np.arange(n_steps + 1) * scenario.dt
     sign = _MODE_SIGNS[scenario.mode]
     p = scenario.truth
 
-    i_out = np.array([scenario.current_at(t) for t in times])
+    i_out = scenario.current_at(times)
     i_cell = sign * i_out
     v_p = _rc_link(i_cell, scenario.v_p_initial, p, scenario.dt)
     v_cell = v_p + p.r_o * i_cell + p.v_ocv
@@ -324,7 +341,7 @@ def steady_state_gain(trace: ResidualTrace, fault_magnitude: float) -> float:
 # -- scenario (de)serialization ------------------------------------------------
 
 
-def _parse_current_profile(entry) -> Callable[[float], float] | float:
+def _parse_current_profile(entry) -> Callable[[np.ndarray], np.ndarray] | float:
     if not isinstance(entry, dict):
         return _number(entry, '"i_out"')
     kind = entry.get("kind", "constant")
@@ -333,7 +350,7 @@ def _parse_current_profile(entry) -> Callable[[float], float] | float:
     if kind == "sine":
         amplitude = _number(entry.get("amplitude", 0.0), '"i_out" amplitude')
         freq = _number(entry.get("frequency_hz", 0.0), '"i_out" frequency_hz')
-        return lambda t: amplitude * math.sin(2.0 * math.pi * freq * t)
+        return lambda t: amplitude * np.sin(2.0 * math.pi * freq * t)
     raise InputError(f"unknown current profile kind {kind!r}")
 
 
@@ -419,12 +436,19 @@ def write_traces_csv(
 
     columns = [("r_setup1_V", "setup1"), ("r_cellcurrent_A", "cell_current"),
                ("r_redundant_A", "redundant_output")]
+    column_traces = [traces.get(key) for _, key in columns]
     with output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["time_s"] + [label for label, _ in columns])
-        for i, t in enumerate(times):
-            row: list[object] = [f"{t:.9g}"]
-            for _, key in columns:
-                trace = traces.get(key)
-                row.append(f"{trace.values[i]:.12g}" if trace is not None else "")
-            writer.writerow(row)
+        # Each column is formatted a block of rows at a time, so at most one
+        # block's Python floats and strings are alive at once.
+        for start in range(0, len(times), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            cells = [map("{:.9g}".format, times[rows].tolist())]
+            for trace in column_traces:
+                cells.append(
+                    map("{:.12g}".format, trace.values[rows].tolist())
+                    if trace is not None
+                    else itertools.repeat("")
+                )
+            writer.writerows(zip(*cells))

@@ -7,9 +7,10 @@ from switchdiag.structural import StructuralModel
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
-# A nominal RC time constant of 1 us, below dt/2 at the default dt of 10 us.
+# A nominal RC time constant of 1 us, below dt/2 at the default dt of 10 us,
+# where explicit Euler is unstable and the zero-order-hold update is exact.
 TINY_TAU = {"r_p": 1e-6, "c_p": 1.0, "r_o": 1.2e-3, "v_ocv": 4.07}
-DIVERGING_OBSERVER = {
+STIFF_OBSERVER = {
     "mode": "insertion-forward",
     "nominal_params": TINY_TAU,
     "faults": [{"signal": "f_iout", "onset": 0.0, "magnitude": 1.0}],

@@ -16,7 +16,7 @@ from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from switchdiag.errors import InternalConsistencyError
 from switchdiag.residuals import MAX_STEPS
 
-from .conftest import DIVERGING_OBSERVER, OVERFLOWING_SENSOR
+from .conftest import OVERFLOWING_SENSOR, STIFF_OBSERVER, TINY_TAU
 
 
 def run_cli(capsys, *argv):
@@ -292,8 +292,15 @@ class TestResidual:
         assert_input_error(code, err)
         assert "cannot write" in err
 
-    @pytest.mark.parametrize("scenario", [DIVERGING_OBSERVER, OVERFLOWING_SENSOR],
-                             ids=["diverging-observer", "overflowing-sensor"])
+    def test_stiff_observer_gains_are_finite(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(STIFF_OBSERVER))
+        code, out, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert code == EXIT_OK, err
+        gains = strict_json(out)["gains"]
+        assert gains["setup1"] == pytest.approx(-(TINY_TAU["r_p"] + TINY_TAU["r_o"]), rel=1e-9)
+
+    @pytest.mark.parametrize("scenario", [OVERFLOWING_SENSOR], ids=["overflowing-sensor"])
     def test_non_finite_result_is_input_error(self, capsys, tmp_path, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -545,7 +552,7 @@ class TestFuzzedInputs:
 
     @fuzz
     @given(data=_mutated(_SCENARIO))
-    @example(data=DIVERGING_OBSERVER)
+    @example(data=STIFF_OBSERVER)
     @example(data=OVERFLOWING_SENSOR)
     def test_scenario(self, tmp_path, data):
         path = tmp_path / "scenario.json"

@@ -12,7 +12,6 @@ from switchdiag.pipeline import (
     render_matrix,
     render_report,
     sweep,
-    sweep_report_from_json,
 )
 from switchdiag.structural import IsolabilityReport, partition_matrix
 from switchdiag.switched import Configuration, canonicalize, structural_mode_classes
@@ -170,10 +169,6 @@ class TestSweep:
 class TestRender:
     def test_markdown_golden(self, sweep3):
         assert render(sweep3, "md") == GOLDEN_SWEEP_MD
-
-    def test_json_round_trips(self, sweep3):
-        text = render(sweep3, "json")
-        assert sweep_report_from_json(text) == sweep3
 
     def test_csv_has_one_row_per_cell(self, sweep3):
         lines = render(sweep3, "csv").strip().splitlines()

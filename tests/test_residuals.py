@@ -1,8 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from switchdiag import residuals
 from switchdiag.bimmc import NOMINAL_CELL, CellParameters
 from switchdiag.errors import (
     InputError,
@@ -17,6 +20,7 @@ from switchdiag.residuals import (
     FaultStep,
     ResidualTrace,
     SimScenario,
+    _rc_link,
     applicable_residuals,
     residual_cell_current,
     residual_redundant_output,
@@ -24,6 +28,7 @@ from switchdiag.residuals import (
     scenario_from_dict,
     simulate_plant,
     steady_state_gain,
+    write_traces_csv,
 )
 
 from .conftest import OVERFLOWING_SENSOR
@@ -106,16 +111,51 @@ class TestPlant:
         assert np.array_equal(clean.v_p, faulted.v_p)
         assert np.array_equal(clean.y_vcell, faulted.y_vcell)
 
-    def test_divergence_raises(self):
-        with pytest.raises(SimulationDivergedError):
-            run(dt=0.01, duration=10.0, v_p_initial=1.0)
+    def test_large_dt_decay_is_exact(self):
+        # dt is about 10 tau, far beyond explicit Euler's stability limit of 2 tau.
+        _, signals = run(dt=0.01, duration=10.0, v_p_initial=1.0)
+        assert np.isfinite(signals.v_p).all()
+        np.testing.assert_allclose(
+            signals.v_p, np.exp(-signals.times / TAU), rtol=1e-12, atol=np.finfo(float).tiny
+        )
+
+    def test_infinite_current_raises_from_the_rc_link(self):
+        with pytest.raises(SimulationDivergedError, match="RC-link state became non-finite"):
+            run(i_out=math.inf)
+
+
+def sequential_zoh(current, v0, params, dt):
+    """Reference: the zero-order-hold recurrence, one sample at a time."""
+    ratio = dt / (params.r_p * params.c_p)
+    a, b = math.exp(-ratio), params.r_p * -math.expm1(-ratio)
+    v = [float(v0)]
+    for i in current[:-1].tolist():
+        v.append(a * v[-1] + b * i)
+    return np.array(v)
+
+
+class TestRcLinkScan:
+    def test_matches_sequential_recurrence(self):
+        rng = np.random.default_rng(7)
+        lengths = [1, 2, 3, 5000] + rng.integers(1, 5001, 246).tolist()
+        for n in lengths:
+            params = CellParameters(
+                r_p=10 ** rng.uniform(-5, -1), c_p=10 ** rng.uniform(-1, 2), r_o=1e-3, v_ocv=4.0
+            )
+            dt = params.r_p * params.c_p * 10 ** rng.uniform(-4, 4)
+            current = rng.choice((-1.0, 1.0), n) * 10 ** rng.uniform(-2, 3, n)
+            v0 = rng.normal(scale=10.0)
+            got = _rc_link(current, v0, params, dt)
+            want = sequential_zoh(current, v0, params, dt)
+            # Relative to the largest state magnitude of the run.
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (n, dt)
 
 
 class TestSetup1Residual:
     def test_fault_free_is_zero(self):
         for mode in (MODE_FORWARD, MODE_BACKWARD):
             scenario, signals = run(
-                mode=mode, i_out=lambda t: 2.0 * math.sin(2 * math.pi * 50 * t)
+                mode=mode, i_out=lambda t: 2.0 * np.sin(2 * math.pi * 50 * t)
             )
             r = residual_setup1(signals, scenario.nominal, mode)
             assert np.max(np.abs(r.values)) < 1e-6
@@ -162,13 +202,18 @@ class TestSetup1Residual:
         r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
         assert np.max(np.abs(r.values)) < 1e-6
 
-    def test_divergence_raises(self):
-        # Euler is unstable once the nominal time constant is below dt/2.
-        _, signals = run(i_out=1.0)
-        nominal = CellParameters(r_p=1e-6, c_p=1.0, r_o=NOMINAL_CELL.r_o, v_ocv=NOMINAL_CELL.v_ocv)
-        assert nominal.r_p * nominal.c_p < signals.dt / 2
-        with pytest.raises(SimulationDivergedError):
-            residual_setup1(signals, nominal, MODE_FORWARD)
+    def test_stiff_observer_is_exact(self):
+        # A time constant below dt/2, where explicit Euler is unstable.
+        stiff = CellParameters(r_p=1e-6, c_p=1.0, r_o=NOMINAL_CELL.r_o, v_ocv=NOMINAL_CELL.v_ocv)
+        assert stiff.r_p * stiff.c_p < 1e-5 / 2
+        scenario, signals = run(truth=stiff, nominal=stiff, i_out=1.0)
+        r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+        assert np.max(np.abs(r.values)) <= 1e-9
+        scenario, signals = run(
+            truth=stiff, nominal=stiff, faults=(FaultStep("f_iout", 0.0, 1.0),)
+        )
+        gain = steady_state_gain(residual_setup1(signals, scenario.nominal, MODE_FORWARD), 1.0)
+        assert abs(gain) == pytest.approx(stiff.r_p + stiff.r_o, rel=1e-9)
 
 
 class TestCellCurrentResidual:
@@ -274,3 +319,30 @@ class TestOverflowIsAnError:
         trace = ResidualTrace(times, np.full(100, 1e308), "redundant_output")
         with pytest.raises(SimulationDivergedError, match="non-finite"):
             steady_state_gain(trace, 1.0)
+
+
+class TestTraceCsv:
+    # A block of 7 rows puts block boundaries all through the 2001 rows.
+    @pytest.mark.parametrize("block_rows", [7, residuals._CSV_BLOCK_ROWS])
+    def test_bytes_match_the_per_row_formatter(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(residuals, "_CSV_BLOCK_ROWS", block_rows)
+        scenario, signals = run(
+            i_out=lambda t: 3.0 * np.sin(2 * math.pi * 50 * t),
+            sensors=frozenset({"cell_current"}),
+            faults=(FaultStep("f_iout", 0.01, 0.5),),
+        )
+        traces = applicable_residuals(scenario, signals)
+        assert traces["redundant_output"] is None
+        path = tmp_path / "trace.csv"
+        write_traces_csv(path, signals.times, traces)
+
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["time_s", "r_setup1_V", "r_cellcurrent_A", "r_redundant_A"])
+        for i, t in enumerate(signals.times):
+            row = [f"{t:.9g}"]
+            for key in ("setup1", "cell_current", "redundant_output"):
+                trace = traces[key]
+                row.append(f"{trace.values[i]:.12g}" if trace is not None else "")
+            writer.writerow(row)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
