@@ -36,11 +36,10 @@ __all__ = [
 
 def structural_model_to_dict(model: StructuralModel) -> dict:
     equations = []
-    for eq in sorted(model.equations):
-        entry: dict = {"id": eq, "unknowns": sorted(model.incidence[eq])}
-        for fault, target in model.fault_map.items():
-            if target == eq:
-                entry["fault"] = fault
+    for eq, unknowns, fault in sorted(model.rows, key=lambda row: row[0]):
+        entry: dict = {"id": eq, "unknowns": sorted(unknowns)}
+        if fault is not None:
+            entry["fault"] = fault
         equations.append(entry)
     return {"equations": equations, "unknowns": sorted(model.unknowns)}
 
@@ -67,8 +66,9 @@ def _objects(value, what: str) -> list[dict]:
 
 
 def _optional_name(value, what: str) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise InputError(f"{what} must be a string")
+    # Absent or null means no name; an empty name is refused, not dropped.
+    if value is not None and not (isinstance(value, str) and value):
+        raise InputError(f"{what} must be a non-empty string")
     return value
 
 
@@ -92,29 +92,17 @@ def structural_model_from_dict(data: dict) -> StructuralModel:
         raise InputError(f"model JSON missing field {exc.args[0]!r}") from None
     if not isinstance(equation_entries, list):
         raise InputError('model JSON: "equations" must be a list')
-    ids = []
-    incidence = {}
-    faults = {}
+    rows = []
     for position, entry in enumerate(equation_entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise InputError(f'model JSON: equation entry {position} needs a string "id"')
         eq = entry["id"]
-        ids.append(eq)
-        incidence[eq] = frozenset(
-            _names(entry.get("unknowns", []), f"model JSON: unknowns of {eq!r}")
-        )
-        fault = entry.get("fault")
-        if fault:
-            if not isinstance(fault, str):
-                raise InputError(f"model JSON: fault of {eq!r} must be a string")
-            faults[fault] = eq
-    return StructuralModel(
-        equations=tuple(ids),
-        unknowns=unknowns,
-        incidence=incidence,
-        faults=tuple(faults),
-        fault_map=faults,
-    )
+        rows.append((
+            eq,
+            frozenset(_names(entry.get("unknowns", []), f"model JSON: unknowns of {eq!r}")),
+            _optional_name(entry.get("fault"), f"model JSON: fault of {eq!r}"),
+        ))
+    return StructuralModel(rows=tuple(rows), unknowns=unknowns)
 
 
 def _mode_equation_to_dict(eq: ModeGuardedEquation, modes: tuple[str, ...]) -> dict:
@@ -124,7 +112,7 @@ def _mode_equation_to_dict(eq: ModeGuardedEquation, modes: tuple[str, ...]) -> d
         entry["unknowns"] = sorted(next(iter(variants.values())))
     else:
         entry["variants"] = {m: sorted(v) for m, v in variants.items()}
-    if eq.fault:
+    if eq.fault is not None:
         entry["fault"] = eq.fault
     return entry
 
@@ -176,7 +164,7 @@ def switched_model_to_dict(
                 "id": geq.id,
                 "unknowns": sorted(geq.unknowns),
                 **({"per_instance": sorted(geq.per_instance)} if geq.per_instance else {}),
-                **({"fault": geq.fault} if geq.fault else {}),
+                **({"fault": geq.fault} if geq.fault is not None else {}),
             }
             for geq in switched.global_equations
         ],

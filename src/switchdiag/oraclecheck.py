@@ -59,31 +59,19 @@ def random_model(
     density = rng.uniform(0.05, 0.85)
     equations = [f"e{i}" for i in range(1, n_eq + 1)]
     unknowns = [f"x{j}" for j in range(1, n_unk + 1)]
-    incidence = {
-        eq: frozenset(x for x in unknowns if rng.random() < density) for eq in equations
-    }
+    incidence = [frozenset(x for x in unknowns if rng.random() < density) for _ in equations]
     fault_eqs = rng.sample(equations, rng.randint(0, n_eq))
-    faults = {f"f{i}": eq for i, eq in enumerate(fault_eqs, start=1)}
-    return StructuralModel(
-        equations=tuple(equations),
-        unknowns=tuple(unknowns),
-        incidence=incidence,
-        faults=tuple(faults),
-        fault_map=faults,
-    )
+    fault_of = {eq: f"f{i}" for i, eq in enumerate(fault_eqs, start=1)}
+    rows = tuple(zip(equations, incidence, map(fault_of.get, equations)))
+    return StructuralModel(rows=rows, unknowns=tuple(unknowns))
 
 
 def remove_equation(model: StructuralModel, equation: str) -> StructuralModel:
     """Return ``model`` without ``equation`` (and without the fault on it)."""
     if equation not in model.incidence:
         raise InputError(f"unknown equation {equation!r}")
-    keep_faults = tuple(f for f in model.faults if model.fault_map[f] != equation)
     return StructuralModel(
-        equations=tuple(e for e in model.equations if e != equation),
-        unknowns=model.unknowns,
-        incidence={e: v for e, v in model.incidence.items() if e != equation},
-        faults=keep_faults,
-        fault_map={f: model.fault_map[f] for f in keep_faults},
+        rows=tuple(row for row in model.rows if row[0] != equation), unknowns=model.unknowns
     )
 
 
@@ -185,14 +173,14 @@ def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
     return DmDecomposition(coarse.under, coarse.just, coarse.over, tuple(blocks))
 
 
-def oracle_partition(model: StructuralModel, bound: int = DEFAULT_ORACLE_BOUND) -> IsolabilityReport:
+def oracle_partition(model: StructuralModel) -> IsolabilityReport:
     """Brute-force isolability: pairwise removal checked by matching sizes.
 
     Asserts the symmetry of the non-isolable relation on detectable faults
     and that the relation closes into a partition, then returns it.
     """
     detectable = frozenset(
-        f for f in model.faults if oracle_plus_membership(model, model.fault_map[f], bound=bound)
+        f for f in model.faults if oracle_plus_membership(model, model.fault_map[f])
     )
     non_detectable = frozenset(model.faults) - detectable
     det = sorted(detectable)

@@ -13,7 +13,7 @@ import itertools
 import json
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bimmc
 from .errors import InputError, InternalConsistencyError
@@ -91,18 +91,26 @@ class CompactIsolability:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Compact isolability for every (setup, inserted count) pair."""
+    """Compact isolability for every (setup, inserted count) pair.
+
+    ``sensor_setups`` are the setups swept, in order; ``setups`` holds
+    their ids, which key ``cells`` together with the inserted count.
+    """
 
     n: int
-    setups: tuple[str, ...]
+    sensor_setups: tuple[bimmc.SensorSetup, ...]
     cells: Mapping[tuple[str, int], CompactIsolability]
+    setups: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
+        sensor_setups = tuple(self.sensor_setups)
+        setups = tuple(s.id for s in sensor_setups)
         cells = dict(self.cells)
-        expected = {(s, k) for s in self.setups for k in range(self.n + 1)}
+        expected = {(s, k) for s in setups for k in range(self.n + 1)}
         if set(cells) != expected:
             raise InternalConsistencyError("sweep cells must cover all setups x 0..n")
-        object.__setattr__(self, "setups", tuple(self.setups))
+        object.__setattr__(self, "sensor_setups", sensor_setups)
+        object.__setattr__(self, "setups", setups)
         object.__setattr__(self, "cells", cells)
 
 
@@ -220,14 +228,14 @@ def sweep(n: int, setups: Sequence[str | bimmc.SensorSetup] | None = None) -> Sw
     """Nested sweep over sensor setups and 0..n inserted submodules."""
     if n < 1:
         raise InputError(f"submodule count must be >= 1 (got {n})")
-    setup_objs = [bimmc.sensor_setup(s) for s in (setups or list(bimmc.SETUPS))]
-    setup_ids = _unique((s.id for s in setup_objs), "sensor setup")
+    setup_objs = tuple(bimmc.sensor_setup(s) for s in (setups or list(bimmc.SETUPS)))
+    _unique((s.id for s in setup_objs), "sensor setup")
     cells: dict[tuple[str, int], CompactIsolability] = {}
     for setup in setup_objs:
         switched, catalogue = bimmc.generate(n, setup)
         for reduced, cell in _reduced_results(setup, switched, catalogue, compact).items():
             cells[(setup.id, reduced.class_counts[0])] = cell
-    return SweepReport(n, setup_ids, cells)
+    return SweepReport(n, setup_objs, cells)
 
 
 # -- raw-configuration cross-validation --------------------------------------
@@ -347,8 +355,8 @@ def _render_markdown(report: SweepReport) -> str:
             header.append(f"non-I I ({label})")
 
     rows = []
-    for setup_id in report.setups:
-        setup = bimmc.SETUPS[setup_id]
+    for setup in report.sensor_setups:
+        setup_id = setup.id
         cell0 = report.cells[(setup_id, 0)]
         row = [
             setup_id,

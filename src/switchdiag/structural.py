@@ -1,12 +1,14 @@
 """Bipartite structural models and the Dulmage-Mendelsohn calculus.
 
 The central object is :class:`StructuralModel`: a bipartite incidence
-structure between equations and unknown variables, plus a map sending each
-fault signal to the single equation it enters.  On top of it this module
-provides maximum matching, the coarse Dulmage-Mendelsohn (DM) decomposition
-into underdetermined / just-determined / overdetermined parts, the extended
-decomposition of the overdetermined part into fine blocks, and the fault
-detectability / isolability calculus those blocks induce.
+structure between equations and unknown variables, stored as one row per
+equation that names the unknowns occurring in it and the fault signal, if
+any, entering it, so each fault enters exactly one equation.  On top of
+it this module provides maximum matching, the coarse Dulmage-Mendelsohn
+(DM) decomposition into underdetermined / just-determined / overdetermined
+parts, the extended decomposition of the overdetermined part into fine
+blocks, and the fault detectability / isolability calculus those blocks
+induce.
 
 Everything follows from one maximum matching.  The coarse parts are two
 alternating sweeps, one from the exposed equations and one from the
@@ -48,69 +50,37 @@ def _unique(items: Iterable[str], what: str) -> tuple[str, ...]:
 class StructuralModel:
     """Equations x unknowns incidence structure with fault annotations.
 
-    ``incidence`` maps every equation to the set of unknowns occurring in
-    it; an empty set is legal and marks an equation relating only known
-    signals.  ``fault_map`` sends each fault to the single equation it
-    enters and must be injective.
+    ``rows`` holds one ``(equation, unknowns, fault)`` triple per equation:
+    the unknowns occurring in it (an empty set is legal and marks an
+    equation relating only known signals) and the one fault entering it, or
+    None.  ``equations``, ``incidence``, ``faults`` and ``fault_map`` are
+    derived from the rows once, in row order, and are read-only.
     """
 
-    equations: tuple[str, ...]
+    rows: tuple[tuple[str, frozenset[str], str | None], ...]
     unknowns: tuple[str, ...]
-    incidence: Mapping[str, frozenset[str]]
-    faults: tuple[str, ...] = ()
-    fault_map: Mapping[str, str] = field(default_factory=dict)
+    equations: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    incidence: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    faults: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    fault_map: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        equations = _unique(self.equations, "equation")
+        rows = tuple((eq, frozenset(row_unknowns), fault) for eq, row_unknowns, fault in self.rows)
+        equations = _unique((eq for eq, _, _ in rows), "equation")
         unknowns = _unique(self.unknowns, "unknown")
-        faults = _unique(self.faults, "fault")
-        known_eqs = set(equations)
+        faults = _unique((fault for _, _, fault in rows if fault is not None), "fault")
         known_vars = set(unknowns)
-        incidence = {}
-        for eq, var_set in dict(self.incidence).items():
-            if eq not in known_eqs:
-                raise InputError(f"incidence references undeclared equation {eq!r}")
-            incidence[eq] = frozenset(var_set)
-        for eq in equations:
-            incidence.setdefault(eq, frozenset())
-            stray = incidence[eq] - known_vars
+        for eq, row_unknowns, _ in rows:
+            stray = row_unknowns - known_vars
             if stray:
                 raise InputError(f"equation {eq!r} references undeclared unknowns {sorted(stray)}")
-        fault_map = dict(self.fault_map)
-        if set(fault_map) != set(faults):
-            raise InputError("fault_map must be total on the declared faults")
-        for f, eq in fault_map.items():
-            if eq not in known_eqs:
-                raise InputError(f"fault {f!r} mapped to undeclared equation {eq!r}")
-        if len(set(fault_map.values())) != len(fault_map):
-            raise InputError("fault_map must be injective (at most one fault per equation)")
-        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "unknowns", unknowns)
-        object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "incidence", {eq: row_unknowns for eq, row_unknowns, _ in rows})
         object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "fault_map", fault_map)
-
-    @classmethod
-    def from_incidence(
-        cls,
-        incidence: Mapping[str, Iterable[str]],
-        faults: Mapping[str, str] | None = None,
-        unknowns: Iterable[str] | None = None,
-    ) -> "StructuralModel":
-        """Build a model from an equation -> unknowns mapping.
-
-        ``faults`` maps fault names to equations.  When ``unknowns`` is not
-        given, the sorted union of all referenced unknowns is used.
-        """
-        faults = dict(faults or {})
-        if unknowns is None:
-            unknowns = sorted(set().union(*incidence.values())) if incidence else []
-        return cls(
-            equations=tuple(incidence),
-            unknowns=tuple(unknowns),
-            incidence={e: frozenset(v) for e, v in incidence.items()},
-            faults=tuple(faults),
-            fault_map=faults,
+        object.__setattr__(
+            self, "fault_map", {fault: eq for eq, _, fault in rows if fault is not None}
         )
 
     @cached_property
@@ -120,7 +90,7 @@ class StructuralModel:
         Built on first use and kept for the model's lifetime.
         """
         var_index = {x: j for j, x in enumerate(self.unknowns)}
-        adj = [sorted(var_index[x] for x in self.incidence[eq]) for eq in self.equations]
+        adj = [sorted(var_index[x] for x in row_unknowns) for _, row_unknowns, _ in self.rows]
         rev: list[list[int]] = [[] for _ in self.unknowns]
         for i, row in enumerate(adj):
             for j in row:

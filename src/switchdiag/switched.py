@@ -232,26 +232,22 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
         if mode not in template.modes:
             raise InputError(f"unknown mode identifier {mode!r}")
 
-    # Ids and faults stay lists, so StructuralModel sees any name collision
-    # between instances and global equations and refuses it.
+    # Rows stay a list, so StructuralModel sees any equation or fault name
+    # collision between instances and global equations and refuses it.
     local = set(template.local_unknowns)
-    equations: list[tuple[str, frozenset[str]]] = []
-    faults: list[tuple[str, str]] = []
+    rows: list[tuple[str, frozenset[str], str | None]] = []
     for k, mode in enumerate(config.modes, start=1):
         for eq in template.equations:
-            eq_id = instance_name(eq.id, k)
-            equations.append((eq_id, frozenset(
-                instance_name(x, k) if x in local else x for x in eq.variants[mode]
-            )))
-            if eq.fault is not None:
-                faults.append((instance_name(eq.fault, k), eq_id))
+            rows.append((
+                instance_name(eq.id, k),
+                frozenset(instance_name(x, k) if x in local else x for x in eq.variants[mode]),
+                None if eq.fault is None else instance_name(eq.fault, k),
+            ))
     for geq in switched.global_equations:
         expanded = set(geq.unknowns)
         for base in geq.per_instance:
             expanded.update(instance_name(base, k) for k in range(1, switched.n + 1))
-        equations.append((geq.id, frozenset(expanded)))
-        if geq.fault is not None:
-            faults.append((geq.fault, geq.id))
+        rows.append((geq.id, frozenset(expanded), geq.fault))
 
     unknowns = [
         instance_name(x, k)
@@ -259,13 +255,7 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
         for x in template.local_unknowns
     ]
     unknowns.extend(switched.shared_unknowns)
-    return StructuralModel(
-        equations=tuple(eq for eq, _ in equations),
-        unknowns=tuple(unknowns),
-        incidence=dict(equations),
-        faults=tuple(f for f, _ in faults),
-        fault_map=dict(faults),
-    )
+    return StructuralModel(rows=tuple(rows), unknowns=tuple(unknowns))
 
 
 def mode_class(template_classes: Sequence[frozenset[str]], mode: str) -> int:

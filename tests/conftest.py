@@ -37,18 +37,15 @@ def models(draw, max_equations: int = 8, max_unknowns: int = 6, with_faults: boo
         else:
             vars_ = frozenset()
         incidence[f"e{i}"] = vars_
-    faults: dict[str, str] = {}
+    fault_of: dict[str, str] = {}
     if with_faults and n_eq:
         chosen = draw(
             st.lists(st.sampled_from(sorted(incidence)), unique=True, max_size=n_eq)
         )
-        faults = {f"f{i}": eq for i, eq in enumerate(chosen, start=1)}
+        fault_of = {eq: f"f{i}" for i, eq in enumerate(chosen, start=1)}
     return StructuralModel(
-        equations=tuple(incidence),
+        rows=tuple((eq, vars_, fault_of.get(eq)) for eq, vars_ in incidence.items()),
         unknowns=unknowns,
-        incidence=incidence,
-        faults=tuple(faults),
-        fault_map=faults,
     )
 
 

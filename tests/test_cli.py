@@ -145,6 +145,9 @@ class TestAnalyze:
         {"equations": [{"id": "e1", "unknowns": "x"}], "unknowns": ["x"]},
         {"equations": [{"id": "e1", "fault": ["f"]}], "unknowns": []},
         {"equations": [], "unknowns": "x"},
+        # A fault is absent, null or a non-empty string; nothing else is dropped silently.
+        *({"equations": [{"id": "e1", "fault": fault}], "unknowns": []}
+          for fault in (0, False, [], {}, "")),
     ])
     def test_malformed_flat_model_is_input_error(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -153,6 +156,17 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_fault_on_two_equations_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "equations": [{"id": "e1", "unknowns": ["x"], "fault": "f"},
+                          {"id": "e2", "unknowns": ["x"], "fault": "f"}],
+            "unknowns": ["x"],
+        }))
+        code, _, err = run_cli(capsys, "analyze", "--model", str(path))
+        assert_input_error(code, err)
+        assert "duplicate fault identifiers: ['f']" in err
 
 
 class TestSweep:
@@ -371,11 +385,13 @@ class TestMalformedSwitchedModel:
         _set("fault_aggregation", [1]),
         _set("fault_aggregation", {"f_cell": "f_Ro"}),
         _drop("template", "equations", 0, "id"),
+        _set("template", "equations", 7, "fault", ""),
+        _set("global_equations", 1, "fault", ""),
     ], ids=[
         "template-list", "n-string", "n-fraction", "n-bool", "global-equations-number",
         "variants-list", "unknowns-string", "no-modes", "mode-letters-list",
         "per-instance-number", "shared-unknowns-object", "aggregation-list",
-        "aggregate-string", "equation-without-id",
+        "aggregate-string", "equation-without-id", "template-fault-empty", "global-fault-empty",
     ])
     def test_is_input_error(self, capsys, tmp_path, mutate):
         path = tmp_path / "model.json"

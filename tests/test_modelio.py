@@ -30,16 +30,14 @@ class TestStructuralModelJson:
         assert loaded.fault_map == model.fault_map
 
     def test_serialized_form_is_canonically_ordered(self):
-        model = StructuralModel(
-            ("e2", "e1"), ("y", "x"), {"e2": frozenset({"y", "x"}), "e1": frozenset()}
-        )
+        model = StructuralModel((("e2", {"y", "x"}, None), ("e1", set(), None)), ("y", "x"))
         data = structural_model_to_dict(model)
         assert [e["id"] for e in data["equations"]] == ["e1", "e2"]
         assert data["equations"][1]["unknowns"] == ["x", "y"]
         assert data["unknowns"] == ["x", "y"]
 
     def test_json_is_stable_bytes(self):
-        model = StructuralModel(("e1",), ("x",), {"e1": frozenset({"x"})})
+        model = StructuralModel((("e1", {"x"}, None),), ("x",))
         once = json.dumps(structural_model_to_dict(model))
         again = json.dumps(structural_model_to_dict(model))
         assert once == again
@@ -70,8 +68,10 @@ class TestSwitchedModelJson:
 
 class TestDecompositionExport:
     def test_six_sets_and_fine_blocks(self):
-        model = StructuralModel.from_incidence(
-            {"e1": {"x"}, "e2": {"x"}, "e3": {"y", "z"}, "e4": {"w"}}
+        model = StructuralModel(
+            (("e1", {"x"}, None), ("e2", {"x"}, None), ("e3", {"y", "z"}, None),
+             ("e4", {"w"}, None)),
+            ("w", "x", "y", "z"),
         )
         data = decomposition_to_dict(dm_decompose(model))
         assert data["over"] == {"equations": ["e1", "e2"], "unknowns": ["x"]}
@@ -80,7 +80,7 @@ class TestDecompositionExport:
         assert data["fine_blocks"] == [["e1", "e2"]]
 
     def test_dot_output_contains_clusters_and_edges(self):
-        model = StructuralModel.from_incidence({"e1": {"x"}, "e2": {"x"}})
+        model = StructuralModel((("e1", {"x"}, None), ("e2", {"x"}, None)), ("x",))
         dot = decomposition_to_dot(model, dm_decompose(model))
         assert dot.startswith("graph dm {")
         assert "cluster_over" in dot

@@ -170,6 +170,17 @@ class TestRender:
     def test_markdown_golden(self, sweep3):
         assert render(sweep3, "md") == GOLDEN_SWEEP_MD
 
+    @pytest.mark.parametrize("custom_id, preset_id", [("V", "III"), ("I", "IV")],
+                             ids=["new-id", "reused-id"])
+    def test_markdown_reads_the_swept_sensors(self, custom_id, preset_id):
+        # A custom setup renders its own sensors, even under a preset's id.
+        preset = bimmc.SETUPS[preset_id]
+        custom = bimmc.SensorSetup(custom_id, preset.sm_sensors, preset.pack_sensors)
+        expected = render(sweep(2, [preset]), "md").replace(
+            f"| {preset_id} |", f"| {custom_id} |"
+        )
+        assert render(sweep(2, [custom]), "md") == expected
+
     def test_csv_has_one_row_per_cell(self, sweep3):
         lines = render(sweep3, "csv").strip().splitlines()
         assert len(lines) == 1 + 4 * 4

@@ -35,30 +35,29 @@ from switchdiag.switched import (
 from .conftest import models
 
 
-def model_of(incidence, faults=None):
-    return StructuralModel.from_incidence(
-        {e: frozenset(v) for e, v in incidence.items()}, faults
+def model_of(incidence, faults=None, unknowns=None):
+    fault_of = {eq: f for f, eq in (faults or {}).items()}
+    if unknowns is None:
+        unknowns = sorted(set().union(*incidence.values()))
+    return StructuralModel(
+        rows=tuple((e, v, fault_of.get(e)) for e, v in incidence.items()), unknowns=unknowns
     )
 
 
 class TestModelValidation:
     def test_rejects_duplicate_equations(self):
         with pytest.raises(InputError):
-            StructuralModel(("e1", "e1"), ("x",), {"e1": frozenset({"x"})})
+            StructuralModel((("e1", {"x"}, None), ("e1", {"x"}, None)), ("x",))
 
     def test_rejects_undeclared_unknowns(self):
         with pytest.raises(InputError, match="undeclared unknowns"):
-            StructuralModel(("e1",), ("x",), {"e1": frozenset({"y"})})
+            StructuralModel((("e1", {"y"}, None),), ("x",))
 
-    def test_rejects_two_faults_on_one_equation(self):
-        with pytest.raises(InputError, match="injective"):
-            StructuralModel(
-                ("e1",),
-                ("x",),
-                {"e1": frozenset({"x"})},
-                faults=("f1", "f2"),
-                fault_map={"f1": "e1", "f2": "e1"},
-            )
+    def test_rejects_one_fault_on_two_equations(self):
+        # A row holds at most one fault, so a fault named on two rows is the
+        # only way left to break "each fault enters exactly one equation".
+        with pytest.raises(InputError, match=r"duplicate fault identifiers: \['f1'\]"):
+            StructuralModel((("e1", {"x"}, "f1"), ("e2", {"x"}, "f1")), ("x",))
 
     def test_empty_incidence_is_legal(self):
         model = model_of({"e1": set()})
@@ -147,7 +146,7 @@ class TestCoarseDecomposition:
         vars_ = list(model.unknowns)
         rng.shuffle(eqs)
         rng.shuffle(vars_)
-        shuffled = StructuralModel(tuple(eqs), tuple(vars_), model.incidence)
+        shuffled = StructuralModel(tuple((e, model.incidence[e], None) for e in eqs), tuple(vars_))
         a, b = dm_decompose(model), dm_decompose(shuffled)
         assert (a.under, a.just, a.over) == (b.under, b.just, b.over)
         assert set(a.fine_blocks) == set(b.fine_blocks)
@@ -203,7 +202,7 @@ def sparse_model(rng: random.Random, n_eq: int) -> StructuralModel:
     unknowns = [f"x{j:03d}" for j in range(max(1, int(n_eq * rng.uniform(0.6, 1.1))))]
     incidence = {f"e{i:03d}": rng.sample(unknowns, rng.randint(0, min(3, len(unknowns))))
                  for i in range(n_eq)}
-    return StructuralModel.from_incidence(incidence, unknowns=unknowns)
+    return model_of(incidence, unknowns=unknowns)
 
 
 def chain_model(length: int, extra_tail: bool = False) -> StructuralModel:
