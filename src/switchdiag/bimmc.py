@@ -42,7 +42,9 @@ __all__ = [
     "MODES",
     "MODE_LETTERS",
     "NOMINAL_CELL",
+    "PACK_SENSORS",
     "SETUPS",
+    "SM_SENSORS",
     "CellParameters",
     "SensorSetup",
     "aggregate_report",
@@ -67,11 +69,32 @@ CELL_FAULTS = ("f_Ro", "f_Cp", "f_Rp", "f_Em")
 FAULT_AGGREGATION = {"f_cell": CELL_FAULTS}
 
 
+#: Sensors a setup may place on each submodule and on the pack.  Every
+#: generated model has the cell-voltage and output-current sensor equations
+#: (e8 and e2,0), so every setup must name both.
+SM_SENSORS = frozenset({"cell_voltage", "cell_current"})
+PACK_SENSORS = frozenset({"output_current", "output_voltage"})
+
+
 @dataclass(frozen=True)
 class SensorSetup:
     id: str
     sm_sensors: frozenset[str]
     pack_sensors: frozenset[str]
+
+    def __post_init__(self):
+        for where, sensors, vocabulary, required in (
+            ("submodule", self.sm_sensors, SM_SENSORS, "cell_voltage"),
+            ("pack", self.pack_sensors, PACK_SENSORS, "output_current"),
+        ):
+            unknown = set(sensors) - vocabulary
+            if unknown:
+                raise InputError(
+                    f"sensor setup {self.id!r}: unknown {where} sensors {sorted(unknown)}; "
+                    f"expected a subset of {sorted(vocabulary)}"
+                )
+            if required not in sensors:
+                raise InputError(f"sensor setup {self.id!r} lacks the {where} sensor {required!r}")
 
 
 SETUPS: dict[str, SensorSetup] = {

@@ -29,9 +29,11 @@ from .switched import (
     SwitchedModel,
     canonicalize,
     enumerate_reduced_configurations,
+    instance_name,
     instantiate,
     mode_class,
     representative_configuration,
+    split_instance_name,
     structural_mode_classes,
 )
 
@@ -51,18 +53,10 @@ __all__ = [
 RENDER_FORMATS = ("md", "json", "csv")
 
 
-def split_sm_fault(fault: str) -> tuple[str, int] | None:
-    """Split ``f_vcell,3`` into ``("f_vcell", 3)``; pack faults give None."""
-    base, sep, tail = fault.rpartition(",")
-    if sep and tail.isdigit():
-        return base, int(tail)
-    return None
-
-
 def _generic(fault: str) -> str:
     # Submodule faults are reported in index-free form: f_vcell,3 -> f_vcell,k.
-    parts = split_sm_fault(fault)
-    return f"{parts[0]},k" if parts else fault
+    parts = split_instance_name(fault)
+    return instance_name(parts[0], "k") if parts else fault
 
 
 @dataclass(frozen=True)
@@ -181,12 +175,12 @@ def compact(
     }
     per_sm: dict[int, set[frozenset[str]]] = {}
     pack_membership: dict[str, str | None] = {
-        f: None for f in sorted(report.detectable) if split_sm_fault(f) is None
+        f: None for f in sorted(report.detectable) if split_instance_name(f) is None
     }
     for cell in report.non_isolable_partition:
         if len(cell) < 2:
             continue
-        sm_indices = {parts[1] for f in cell if (parts := split_sm_fault(f))}
+        sm_indices = {parts[1] for f in cell if (parts := split_instance_name(f))}
         if len(sm_indices) > 1:
             raise InternalConsistencyError(
                 f"non-isolable set {sorted(cell)} spans submodules {sorted(sm_indices)}"
@@ -198,7 +192,7 @@ def compact(
         sm = sm_indices.pop()
         per_sm.setdefault(sm, set()).add(frozenset(_generic(f) for f in cell))
         for f in cell:
-            if split_sm_fault(f) is None:
+            if split_instance_name(f) is None:
                 pack_membership[f] = sm_class[sm]
 
     listed: dict[str, tuple[frozenset[str], ...] | None] = {}
@@ -256,8 +250,8 @@ def canonical_report(
     rename = {old + 1: new + 1 for new, old in enumerate(order)}
 
     def map_fault(fault: str) -> str:
-        parts = split_sm_fault(fault)
-        return f"{parts[0]},{rename[parts[1]]}" if parts else fault
+        parts = split_instance_name(fault)
+        return instance_name(parts[0], rename[parts[1]]) if parts else fault
 
     return (
         frozenset(map_fault(f) for f in report.detectable),
@@ -307,8 +301,8 @@ def _sets_text(sets: tuple[frozenset[str], ...] | None) -> str:
 
 
 _SENSOR_LABELS = {
-    "cell_voltage": "v_cell,k",
-    "cell_current": "i_cell,k",
+    "cell_voltage": instance_name("v_cell", "k"),
+    "cell_current": instance_name("i_cell", "k"),
     "output_current": "i_out",
     "output_voltage": "v_out",
 }

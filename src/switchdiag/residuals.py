@@ -270,18 +270,15 @@ def _insertion_sign(mode: str, residual: str) -> float:
 
 
 @_overflow_checked
-def residual_setup1(
-    signals: PlantSignals, nominal: CellParameters, mode: str
-) -> ResidualTrace:
+def residual_setup1(signals: PlantSignals, nominal: CellParameters) -> ResidualTrace:
     """Observer residual on cell voltage, driven by the measured output current.
 
-    ``mode`` selects the residual's sign convention (the mode the residual
-    is designed for) and must be an insertion mode.  The observer state is
-    initialized from the first measurement, so a fault-free run gives a
-    residual that is zero up to roundoff regardless of the initial RC-link
-    voltage.
+    The signals' mode selects the residual's sign convention and must be an
+    insertion mode.  The observer state is initialized from the first
+    measurement, so a fault-free run gives a residual that is zero up to
+    roundoff regardless of the initial RC-link voltage.
     """
-    sign = _insertion_sign(mode, "setup1")
+    sign = _insertion_sign(signals.mode, "setup1")
     v0 = signals.y_vcell[0] - sign * nominal.r_o * signals.y_iout[0] - nominal.v_ocv
     v_hat = _rc_link(sign * signals.y_iout, v0, nominal, signals.dt)
     r = signals.y_vcell - v_hat - sign * nominal.r_o * signals.y_iout - nominal.v_ocv
@@ -411,7 +408,7 @@ def applicable_residuals(
     insertion = scenario.mode != MODE_BYPASS
     return {
         "setup1": (
-            residual_setup1(signals, scenario.nominal, scenario.mode) if insertion else None
+            residual_setup1(signals, scenario.nominal) if insertion else None
         ),
         "cell_current": (
             residual_cell_current(signals)

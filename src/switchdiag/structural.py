@@ -11,8 +11,8 @@ blocks, and the fault detectability / isolability calculus those blocks
 induce.
 
 Everything follows from one maximum matching.  The coarse parts are two
-alternating sweeps, one from the exposed equations and one from the
-exposed unknowns.  The fine blocks come from the dominator tree of the
+depth-first alternating sweeps, one from the exposed equations and one from
+the exposed unknowns.  The fine blocks come from the dominator tree of the
 alternating digraph over the overdetermined equations, rooted at a
 super-source joined to every exposed equation: two equations share a block
 exactly when one equation dominates both, so the blocks are the subtrees
@@ -21,7 +21,9 @@ gammoid dual to the equations' transversal matroid (Ingleton & Piff, JCT-B
 1973), the equivalence classes of the overdetermined part in Krysander,
 Aslund & Nyberg (IEEE TSMC-A 2008).  Dominators are computed by the
 iteration of Cooper, Harvey & Kennedy, "A simple, fast dominance
-algorithm" (2001).  A whole decomposition costs one matching plus work
+algorithm" (2001).  The first sweep walks exactly that digraph, and its
+postorder is the order the dominator pass iterates, so the fine-block pass
+walks nothing itself.  A whole decomposition costs one matching plus work
 near-linear in practice in the number of incidence edges, all of it
 iterative, so path lengths are not bounded by the recursion limit.
 
@@ -260,37 +262,41 @@ def max_matching(model: StructuralModel) -> Matching:
 
 def _reach(
     adj: list[list[int]], back: list[int], starts: list[int]
-) -> tuple[list[bool], list[bool]]:
-    # Alternating sweep from vertices ``starts`` of one side of the graph:
-    # any edge ``adj`` to the other side, the matched edge ``back`` from
-    # there (-1 when exposed).  Returns the reached vertices of the start
-    # side and of the other side.
+) -> tuple[list[int], list[bool], list[bool]]:
+    # Depth-first alternating sweep from vertices ``starts`` of one side of
+    # the graph: any edge ``adj`` to the other side, the matched edge
+    # ``back`` from there (-1 when exposed).  Returns the reached start-side
+    # vertices in postorder and the reached flags of both sides.  Starts are
+    # exposed, so no sweep reaches one from another.  The stack is explicit,
+    # so path length is not bounded by the recursion limit.
     reached = [False] * len(adj)
     hit = [False] * len(back)
-    for i in starts:
-        reached[i] = True
-    stack = list(starts)
-    while stack:
-        i = stack.pop()
-        for x in adj[i]:
-            if not hit[x]:
-                hit[x] = True
-                j = back[x]
-                if j >= 0 and not reached[j]:
-                    reached[j] = True
-                    stack.append(j)
-    return reached, hit
+    post: list[int] = []
+    for start in starts:
+        reached[start] = True
+        stack = [(start, iter(adj[start]))]
+        while stack:
+            for x in stack[-1][1]:
+                if not hit[x]:
+                    hit[x] = True
+                    j = back[x]
+                    if j >= 0 and not reached[j]:
+                        reached[j] = True
+                        stack.append((j, iter(adj[j])))
+                        break
+            else:
+                post.append(stack.pop()[0])
+    return post, reached, hit
 
 
 class _Coarse(NamedTuple):
     under: PartPair
     just: PartPair
     over: PartPair
-    # The maximum matching and the overdetermined equations' indices, which
-    # the fine-block pass builds its digraph from.
+    # The maximum matching, and the overdetermined equations in the over
+    # sweep's postorder, which the dominator pass iterates.
     eq_match: list[int]
-    var_match: list[int]
-    over_eqs: list[int]
+    post: list[int]
 
 
 def _coarse_parts(model: StructuralModel) -> _Coarse:
@@ -300,8 +306,9 @@ def _coarse_parts(model: StructuralModel) -> _Coarse:
     # Overdetermined part: everything alternating-reachable from equations
     # left exposed by a maximum matching.  Underdetermined part: the dual
     # sweep from exposed unknowns.
-    over_eqs, over_vars = _reach(adj, var_match, [i for i, x in enumerate(eq_match) if x < 0])
-    under_vars, under_eqs = _reach(rev, eq_match, [x for x, i in enumerate(var_match) if i < 0])
+    exposed_eqs = [i for i, x in enumerate(eq_match) if x < 0]
+    post, over_eqs, over_vars = _reach(adj, var_match, exposed_eqs)
+    _, under_vars, under_eqs = _reach(rev, eq_match, [x for x, i in enumerate(var_match) if i < 0])
 
     # A maximum matching admits no augmenting path, so the two sweeps
     # cannot meet.
@@ -325,8 +332,7 @@ def _coarse_parts(model: StructuralModel) -> _Coarse:
         just=part(just_eqs, just_vars),
         over=part(over_eqs, over_vars),
         eq_match=eq_match,
-        var_match=var_match,
-        over_eqs=[i for i, reached in enumerate(over_eqs) if reached],
+        post=post,
     )
 
 
@@ -339,37 +345,21 @@ def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[list[int]]:
     # Fine blocks as equation indices: the subtrees under the root's children
     # in the dominator tree of the alternating digraph (see dm_decompose).
     # The digraph has an edge e -> var_match[x] for each unknown x of e, and
-    # a root, index ``len(adj)``, joined to every exposed equation.
+    # a root, index ``len(adj)``, joined to every exposed equation.  The over
+    # sweep walked it from the root's children in order, so its postorder
+    # plus the root is the digraph's postorder.
     adj, rev = model._index
-    eq_match, var_match, over_eqs = coarse.eq_match, coarse.var_match, coarse.over_eqs
+    eq_match = coarse.eq_match
     root = len(adj)
-    # Depth-first postorder from the root with an explicit stack.  Every
-    # unknown of an overdetermined equation is matched, or the matching
-    # would have an augmenting path.
-    visited = [False] * (root + 1)
-    visited[root] = True
-    post: list[int] = []
-    stack = [(root, iter([i for i in over_eqs if eq_match[i] < 0]))]
-    while stack:
-        v, successors = stack[-1]
-        for w in successors:
-            if not visited[w]:
-                visited[w] = True
-                stack.append((w, (var_match[x] for x in adj[w])))
-                break
-        else:
-            stack.pop()
-            post.append(v)
-    if len(post) != len(over_eqs) + 1:
-        raise InternalConsistencyError("overdetermined part not reachable from exposed equations")
-    rank = [0] * (root + 1)
+    post = coarse.post + [root]
+    rank = [-1] * (root + 1)
     for k, v in enumerate(post):
         rank[v] = k
     order = post[-2::-1]
     # An exposed equation's only predecessor is the root; a matched one's are
     # the other overdetermined equations that contain its matched unknown.
     preds = [
-        [root] if eq_match[v] < 0 else [e for e in rev[eq_match[v]] if visited[e] and e != v]
+        [root] if eq_match[v] < 0 else [e for e in rev[eq_match[v]] if rank[e] >= 0 and e != v]
         for v in order
     ]
     idom = [-1] * (root + 1)
@@ -423,8 +413,9 @@ def dm_decompose(model: StructuralModel) -> DmDecomposition:
     TSMC-A 2008).  Immediate dominators come from the iteration of Cooper,
     Harvey & Kennedy, "A simple, fast dominance algorithm" (2001), over
     reverse postorder.  Cost: one matching, two alternating sweeps for the
-    coarse parts and a dominator pass over the E incidence edges that is
-    near-linear in practice, with no recursion and no model rebuilt.
+    coarse parts, the first of which gives that postorder, and a dominator
+    pass over the E incidence edges that is near-linear in practice, with
+    no recursion and no model rebuilt.
     """
     coarse = _coarse_parts(model)
     names = model.equations

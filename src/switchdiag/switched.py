@@ -32,13 +32,22 @@ __all__ = [
     "mode_class",
     "parse_configuration",
     "representative_configuration",
+    "split_instance_name",
     "structural_mode_classes",
 ]
 
 
-def instance_name(base: str, k: int) -> str:
-    """Suffix a template-local identifier with its instance index."""
+def instance_name(base: str, k: int | str) -> str:
+    """Suffix a template-local identifier with its instance index (or ``"k"``)."""
     return f"{base},{k}"
+
+
+def split_instance_name(name: str) -> tuple[str, int] | None:
+    """Split ``f_vcell,3`` into ``("f_vcell", 3)``; a name with no index gives None."""
+    base, sep, tail = name.rpartition(",")
+    if sep and tail.isdigit():
+        return base, int(tail)
+    return None
 
 
 @dataclass(frozen=True)

@@ -240,13 +240,13 @@ def test_criterion_7_residual_gains():
         gains = {}
         for dt in (1e-5, 5e-6):
             scenario = SimScenario(mode=MODE_FORWARD, dt=dt, faults=step)
-            r = residual_setup1(simulate_plant(scenario), scenario.nominal, MODE_FORWARD)
+            r = residual_setup1(simulate_plant(scenario), scenario.nominal)
             gains[dt] = steady_state_gain(r, 1.0)
         assert abs(gains[1e-5]) == pytest.approx(expected, rel=0.01)
         assert abs(gains[5e-6] - gains[1e-5]) / abs(gains[1e-5]) < 1e-3
 
         fault_free = SimScenario(mode=MODE_FORWARD, i_out=2.0)
-        r = residual_setup1(simulate_plant(fault_free), fault_free.nominal, MODE_FORWARD)
+        r = residual_setup1(simulate_plant(fault_free), fault_free.nominal)
         assert np.max(np.abs(r.values)) < 1e-6
 
 
@@ -257,7 +257,7 @@ def test_criterion_8_structural_numerical_consistency():
         )
         signals = simulate_plant(scenario)
         with pytest.raises(ResidualModeError):
-            residual_setup1(signals, scenario.nominal, scenario.mode)
+            residual_setup1(signals, scenario.nominal)
 
         # Same operating point structurally: every submodule bypassed.
         report = analyze_configuration(3, "I", 0)

@@ -7,6 +7,7 @@ from switchdiag.bimmc import (
     NOMINAL_CELL,
     SETUPS,
     CellParameters,
+    SensorSetup,
     aggregate_report,
     build_catalogue,
     generate,
@@ -43,6 +44,22 @@ class TestSensorSetups:
     def test_unknown_setup(self):
         with pytest.raises(InputError):
             sensor_setup("V")
+
+    def test_misspelled_sensor_refused(self):
+        with pytest.raises(InputError, match="cell_volt"):
+            SensorSetup("V", frozenset({"cell_volt"}), frozenset({"output_current"}))
+
+    def test_setup_without_the_always_present_sensors_refused(self):
+        with pytest.raises(InputError, match="cell_voltage"):
+            SensorSetup("E", frozenset(), frozenset())
+        with pytest.raises(InputError, match="output_current"):
+            SensorSetup("E", frozenset({"cell_voltage"}), frozenset())
+
+    def test_sensor_on_the_wrong_side_refused(self):
+        with pytest.raises(InputError, match="output_voltage"):
+            SensorSetup(
+                "W", frozenset({"cell_voltage", "output_voltage"}), frozenset({"output_current"})
+            )
 
 
 class TestCellParameters:

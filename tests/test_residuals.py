@@ -157,17 +157,17 @@ class TestSetup1Residual:
             scenario, signals = run(
                 mode=mode, i_out=lambda t: 2.0 * np.sin(2 * math.pi * 50 * t)
             )
-            r = residual_setup1(signals, scenario.nominal, mode)
+            r = residual_setup1(signals, scenario.nominal)
             assert np.max(np.abs(r.values)) < 1e-6
 
     def test_refuses_bypass(self):
         scenario, signals = run(mode=MODE_BYPASS)
         with pytest.raises(ResidualModeError):
-            residual_setup1(signals, scenario.nominal, MODE_BYPASS)
+            residual_setup1(signals, scenario.nominal)
 
     def test_forward_step_gain_is_full_stationary_response(self):
         scenario, signals = run(faults=(FaultStep("f_iout", 0.0, 1.0),))
-        r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+        r = residual_setup1(signals, scenario.nominal)
         gain = steady_state_gain(r, 1.0)
         assert abs(gain) == pytest.approx(FULL_GAIN, rel=0.01)
         assert gain < 0
@@ -176,7 +176,7 @@ class TestSetup1Residual:
         scenario, signals = run(
             mode=MODE_BACKWARD, faults=(FaultStep("f_iout", 0.0, 1.0),)
         )
-        r = residual_setup1(signals, scenario.nominal, MODE_BACKWARD)
+        r = residual_setup1(signals, scenario.nominal)
         gain = steady_state_gain(r, 1.0)
         assert abs(gain) == pytest.approx(FULL_GAIN, rel=0.01)
         assert gain > 0
@@ -185,7 +185,7 @@ class TestSetup1Residual:
         gains = []
         for magnitude in (1.0, 2.0):
             scenario, signals = run(faults=(FaultStep("f_iout", 0.0, magnitude),))
-            r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+            r = residual_setup1(signals, scenario.nominal)
             gains.append(np.mean(r.values[-100:]))
         assert gains[1] == pytest.approx(2 * gains[0], rel=1e-9)
 
@@ -193,13 +193,13 @@ class TestSetup1Residual:
         gains = []
         for dt in (1e-5, 5e-6):
             scenario, signals = run(dt=dt, faults=(FaultStep("f_iout", 0.0, 1.0),))
-            r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+            r = residual_setup1(signals, scenario.nominal)
             gains.append(steady_state_gain(r, 1.0))
         assert abs(gains[1] - gains[0]) / abs(gains[0]) < 1e-3
 
     def test_nonzero_initial_state_still_converges_to_zero(self):
         scenario, signals = run(v_p_initial=0.5, duration=30 * TAU)
-        r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+        r = residual_setup1(signals, scenario.nominal)
         assert np.max(np.abs(r.values)) < 1e-6
 
     def test_stiff_observer_is_exact(self):
@@ -207,12 +207,12 @@ class TestSetup1Residual:
         stiff = CellParameters(r_p=1e-6, c_p=1.0, r_o=NOMINAL_CELL.r_o, v_ocv=NOMINAL_CELL.v_ocv)
         assert stiff.r_p * stiff.c_p < 1e-5 / 2
         scenario, signals = run(truth=stiff, nominal=stiff, i_out=1.0)
-        r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+        r = residual_setup1(signals, scenario.nominal)
         assert np.max(np.abs(r.values)) <= 1e-9
         scenario, signals = run(
             truth=stiff, nominal=stiff, faults=(FaultStep("f_iout", 0.0, 1.0),)
         )
-        gain = steady_state_gain(residual_setup1(signals, scenario.nominal, MODE_FORWARD), 1.0)
+        gain = steady_state_gain(residual_setup1(signals, scenario.nominal), 1.0)
         assert abs(gain) == pytest.approx(stiff.r_p + stiff.r_o, rel=1e-9)
 
 
@@ -297,7 +297,7 @@ class TestSteadyStateGain:
         truth = CellParameters(r_p=800e-6, c_p=1.52, r_o=1.2e-3, v_ocv=4.07)
         scenario = SimScenario(mode=MODE_FORWARD, truth=truth, i_out=2.0)
         signals = simulate_plant(scenario)
-        r = residual_setup1(signals, scenario.nominal, MODE_FORWARD)
+        r = residual_setup1(signals, scenario.nominal)
         assert np.max(np.abs(r.values)) > 1e-5
 
 

@@ -290,6 +290,16 @@ class TestLongAugmentingPaths:
         assert dm.fine_blocks == (frozenset(model.equations),)
         assert len(dm.over.equations) == 3002
 
+    def test_chain_with_exposed_unknown_is_all_under(self):
+        # No z: one unknown stays exposed, and the under sweep from it runs
+        # the whole chain.
+        incidence = {f"e{i:04d}": {f"x{i:04d}", f"x{i + 1:04d}"} for i in range(3000)}
+        model = model_of(incidence)
+        dm = dm_decompose(model)
+        assert dm.under.equations == frozenset(model.equations)
+        assert dm.under.unknowns == frozenset(model.unknowns)
+        assert len(dm.under.unknowns) == 3001
+
 
 class TestDetectability:
     def test_residual_equation_fault_detectable(self):
