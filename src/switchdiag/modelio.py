@@ -260,10 +260,15 @@ def decomposition_to_dict(dm: DmDecomposition) -> dict:
 
 
 def decomposition_to_dot(model: StructuralModel, dm: DmDecomposition) -> str:
-    """Graphviz rendering: equation/unknown bipartite graph clustered by part."""
+    """Graphviz rendering: equation/unknown bipartite graph clustered by part.
 
-    def node(name: str) -> str:
-        return '"' + name.replace('"', r"\"") + '"'
+    ``dm`` is the decomposition of ``model``, so every name it holds is one
+    of the model's.
+    """
+    node = {
+        name: '"' + name.replace("\\", r"\\").replace('"', r"\"") + '"'
+        for name in (*model.equations, *model.unknowns)
+    }
 
     lines = ["graph dm {", "  rankdir=LR;", "  node [fontsize=10];"]
     parts = [("under", dm.under), ("just", dm.just), ("over", dm.over)]
@@ -277,16 +282,16 @@ def decomposition_to_dot(model: StructuralModel, dm: DmDecomposition) -> str:
                 lines.append(f"    subgraph cluster_block{i} {{")
                 lines.append(f'      label="block {i}";')
                 for eq in sorted(block):
-                    lines.append(f"      {node(eq)} [shape=box];")
+                    lines.append(f"      {node[eq]} [shape=box];")
                 lines.append("    }")
         else:
             for eq in sorted(pair.equations):
-                lines.append(f"    {node(eq)} [shape=box];")
+                lines.append(f"    {node[eq]} [shape=box];")
         for unk in sorted(pair.unknowns):
-            lines.append(f"    {node(unk)} [shape=ellipse];")
+            lines.append(f"    {node[unk]} [shape=ellipse];")
         lines.append("  }")
     for eq in sorted(model.equations):
         for unk in sorted(model.incidence[eq]):
-            lines.append(f"  {node(eq)} -- {node(unk)};")
+            lines.append(f"  {node[eq]} -- {node[unk]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

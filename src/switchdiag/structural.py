@@ -27,8 +27,11 @@ walks nothing itself.  A whole decomposition costs one matching plus work
 near-linear in practice in the number of incidence edges, all of it
 iterative, so path lengths are not bounded by the recursion limit.
 
-All types are immutable after construction and all operations are pure
-functions of their inputs, so models can be shared freely across threads.
+The public fields of every type are fixed at construction, and all
+operations are pure functions of their inputs.  A model's integer
+adjacency is a cache filled on first use; a model built from another by
+re-guarding rows shares its lists.  No result depends on a cache or on
+the order of calls, so models can be shared freely across threads.
 """
 
 from collections import Counter
@@ -89,15 +92,58 @@ class StructuralModel:
     def _index(self) -> tuple[list[list[int]], list[list[int]]]:
         """Integer adjacency in declaration order: equation -> unknowns and back.
 
-        Built on first use and kept for the model's lifetime.
+        Built on first use and kept for the model's lifetime.  Re-guarded
+        models share these lists with their base, so nothing may mutate them.
         """
         var_index = {x: j for j, x in enumerate(self.unknowns)}
-        adj = [sorted(var_index[x] for x in row_unknowns) for _, row_unknowns, _ in self.rows]
+        adj = [sorted([var_index[x] for x in row_unknowns]) for _, row_unknowns, _ in self.rows]
         rev: list[list[int]] = [[] for _ in self.unknowns]
         for i, row in enumerate(adj):
             for j in row:
                 rev[j].append(i)
         return adj, rev
+
+
+def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> StructuralModel:
+    # ``base`` with the unknowns of the rows at the positions ``changes``
+    # keys replaced.  Names, faults and unknowns stay those of ``base``,
+    # whose construction checked them, so they are shared and only the new
+    # rows are checked.  The integer adjacency is patched, not rebuilt: the
+    # replaced ``adj`` rows, and ``rev`` of the unknowns they touch.
+    if not changes:
+        return base
+    var_index = {x: j for j, x in enumerate(base.unknowns)}
+    adj, rev = map(list, base._index)
+    rows, incidence = list(base.rows), dict(base.incidence)
+    dropped: dict[int, list[int]] = {}
+    added: dict[int, list[int]] = {}
+    for i, row_unknowns in changes.items():
+        eq, _, fault = rows[i]
+        stray = [x for x in row_unknowns if x not in var_index]
+        if stray:
+            raise InputError(f"equation {eq!r} references undeclared unknowns {sorted(stray)}")
+        rows[i] = (eq, row_unknowns, fault)
+        incidence[eq] = row_unknowns
+        old, new = set(adj[i]), {var_index[x] for x in row_unknowns}
+        adj[i] = sorted(new)
+        for j in old - new:
+            dropped.setdefault(j, []).append(i)
+        for j in new - old:
+            added.setdefault(j, []).append(i)
+    for j in dropped.keys() | added.keys():
+        gone = set(dropped.get(j, ()))
+        rev[j] = sorted([i for i in rev[j] if i not in gone] + added.get(j, []))
+    model = object.__new__(StructuralModel)
+    vars(model).update(
+        rows=tuple(rows),
+        unknowns=base.unknowns,
+        equations=base.equations,
+        incidence=incidence,
+        faults=base.faults,
+        fault_map=base.fault_map,
+        _index=(adj, rev),
+    )
+    return model
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,21 @@ Two reductions keep the analysis of all mode combinations tractable:
 modes with identical equation structure collapse into structural mode
 classes, and configurations that agree on the per-class instance counts
 produce models that are identical up to instance renaming.
+
+Flattening is cheap after the first time.  The first configuration a
+switched model is instantiated under is built name by name and kept.  A
+later one differs from it only in the incidence of mode-guarded
+equations, so it is that model with the rows of the changed instances'
+differing equations re-guarded; names, faults and the integer adjacency
+of every other row are shared.
 """
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError
-from .structural import StructuralModel
+from .structural import StructuralModel, _reguard
 
 __all__ = [
     "Configuration",
@@ -113,6 +121,20 @@ class SubmoduleTemplate:
         object.__setattr__(self, "local_unknowns", tuple(self.local_unknowns))
         object.__setattr__(self, "mode_letters", letters)
 
+    @cached_property
+    def _mode_classes(self) -> tuple[frozenset[str], ...]:
+        groups: dict[tuple, list[str]] = {}
+        for mode in self.modes:
+            groups.setdefault(_mode_signature(self, mode), []).append(mode)
+
+        def sort_key(item: tuple[tuple, list[str]]) -> tuple[int, int]:
+            signature, members = item
+            richness = sum(len(v) for _, v in signature)
+            return (-richness, self.modes.index(members[0]))
+
+        ordered = sorted(groups.items(), key=sort_key)
+        return tuple(frozenset(members) for _, members in ordered)
+
 
 @dataclass(frozen=True)
 class GlobalEquation:
@@ -135,12 +157,20 @@ class GlobalEquation:
 
 @dataclass(frozen=True)
 class SwitchedModel:
-    """``n`` template instances plus global equations over shared unknowns."""
+    """``n`` template instances plus global equations over shared unknowns.
+
+    The first configuration :func:`instantiate` flattens successfully is
+    kept, its modes and its model, as the base later configurations
+    re-guard.
+    """
 
     template: SubmoduleTemplate
     n: int
     global_equations: tuple[GlobalEquation, ...]
     shared_unknowns: tuple[str, ...]
+    _first: tuple[tuple[str, ...], StructuralModel] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -209,19 +239,9 @@ def structural_mode_classes(template: SubmoduleTemplate) -> tuple[frozenset[str]
     incidence under both.  Classes are ordered with the structurally
     richest one (largest total incidence; the insertion-like class) first,
     ties broken by mode declaration order, so callers may treat
-    ``classes[0]`` as the insertion class.
+    ``classes[0]`` as the insertion class.  Computed once per template.
     """
-    groups: dict[tuple, list[str]] = {}
-    for mode in template.modes:
-        groups.setdefault(_mode_signature(template, mode), []).append(mode)
-
-    def sort_key(item: tuple[tuple, list[str]]) -> tuple[int, int]:
-        signature, members = item
-        richness = sum(len(v) for _, v in signature)
-        return (-richness, template.modes.index(members[0]))
-
-    ordered = sorted(groups.items(), key=sort_key)
-    return tuple(frozenset(members) for _, members in ordered)
+    return template._mode_classes
 
 
 def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralModel:
@@ -231,6 +251,12 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
     of ``config.modes[k-1]``, all local names suffixed ``,k``; global
     equations follow unchanged, with per-instance unknowns expanded over
     all instances.
+
+    The first configuration of ``switched`` is built name by name, which
+    checks every name for collisions.  Names do not depend on the modes,
+    so a later configuration starts from that model and re-guards only the
+    rows whose incidence differs: the equations whose variant changes with
+    an instance's mode.  The result is the same either way.
     """
     template = switched.template
     if len(config.modes) != switched.n:
@@ -241,11 +267,34 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
         if mode not in template.modes:
             raise InputError(f"unknown mode identifier {mode!r}")
 
+    first = switched._first
+    if first is None:
+        model = _instantiate_by_name(switched, config.modes)
+        object.__setattr__(switched, "_first", (config.modes, model))
+        return model
+    first_modes, base = first
+    local = set(template.local_unknowns)
+    width = len(template.equations)
+    changes: dict[int, frozenset[str]] = {}
+    for k, (mode, was) in enumerate(zip(config.modes, first_modes), start=1):
+        if mode == was:
+            continue
+        for e, eq in enumerate(template.equations):
+            variant = eq.variants[mode]
+            if variant != eq.variants[was]:
+                changes[(k - 1) * width + e] = frozenset(
+                    instance_name(x, k) if x in local else x for x in variant
+                )
+    return _reguard(base, changes)
+
+
+def _instantiate_by_name(switched: SwitchedModel, modes: Sequence[str]) -> StructuralModel:
     # Rows stay a list, so StructuralModel sees any equation or fault name
     # collision between instances and global equations and refuses it.
+    template = switched.template
     local = set(template.local_unknowns)
     rows: list[tuple[str, frozenset[str], str | None]] = []
-    for k, mode in enumerate(config.modes, start=1):
+    for k, mode in enumerate(modes, start=1):
         for eq in template.equations:
             rows.append((
                 instance_name(eq.id, k),

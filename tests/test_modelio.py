@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -85,3 +86,25 @@ class TestDecompositionExport:
         assert dot.startswith("graph dm {")
         assert "cluster_over" in dot
         assert '"e1" -- "x";' in dot
+
+    def test_dot_escapes_backslashes_and_quotes(self):
+        names = {"e1\\": "x\\", 'e"2': 'y"', 'e\\"3': 'z\\"'}
+        model = StructuralModel(
+            tuple((eq, {x}, None) for eq, x in names.items()), tuple(names.values())
+        )
+        dot = decomposition_to_dot(model, dm_decompose(model))
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+
+        def unescape(text: str) -> str:
+            return re.sub(r"\\(.)", r"\1", text)
+
+        nodes = {
+            unescape(m[1]): m[2]
+            for m in re.finditer(rf"^\s*{quoted} \[shape=(box|ellipse)\];$", dot, re.M)
+        }
+        edges = {
+            (unescape(m[1]), unescape(m[2]))
+            for m in re.finditer(rf"^\s*{quoted} -- {quoted};$", dot, re.M)
+        }
+        assert nodes == {**dict.fromkeys(names, "box"), **dict.fromkeys(names.values(), "ellipse")}
+        assert edges == set(names.items())

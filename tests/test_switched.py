@@ -1,14 +1,17 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from switchdiag import bimmc
 from switchdiag.errors import InputError
 from switchdiag.pipeline import compact
-from switchdiag.structural import IsolabilityReport, isolability_partition
+from switchdiag.structural import IsolabilityReport, _reguard, isolability_partition
 from switchdiag.switched import (
     Configuration,
+    GlobalEquation,
     ModeGuardedEquation,
     ReducedConfiguration,
     SubmoduleTemplate,
@@ -20,6 +23,7 @@ from switchdiag.switched import (
     representative_configuration,
     structural_mode_classes,
 )
+from switchdiag.switched import _instantiate_by_name
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,10 @@ class TestModeClasses:
             frozenset({"m1"}),
         )
 
+    def test_classes_computed_once_per_template(self, fb_switched):
+        template = fb_switched.template
+        assert structural_mode_classes(template) is structural_mode_classes(template)
+
     def test_random_templates_match_pairwise_comparison(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -127,6 +135,151 @@ class TestInstantiate:
         base = instantiate(fb_switched, Configuration(("forward", "bypass1", "forward")))
         swapped = instantiate(fb_switched, Configuration(("backward", "bypass2", "forward")))
         assert base == swapped
+
+
+def assert_same_model(got, want):
+    """Field by field, including the integer adjacency in both directions."""
+    assert got.rows == want.rows
+    assert got.unknowns == want.unknowns
+    assert got.equations == want.equations
+    assert got.incidence == want.incidence
+    assert got.faults == want.faults
+    assert got.fault_map == want.fault_map
+    got_adj, got_rev = got._index
+    want_adj, want_rev = want._index
+    assert got_adj == want_adj
+    assert got_rev == want_rev
+
+
+def assert_reguard_matches(switched, configs):
+    """Instantiate ``configs`` in order on one switched model, each against a by-name build."""
+    for config in configs:
+        assert_same_model(instantiate(switched, config), _instantiate_by_name(switched, config.modes))
+
+
+class TestReguard:
+    """Later configurations re-guard the first one's model; compare with by-name builds."""
+
+    @pytest.mark.parametrize("setup", ["I", "II", "III", "IV"])
+    def test_every_reduced_configuration_n16(self, setup):
+        switched, _ = bimmc.generate(16, setup)
+        configs = [
+            representative_configuration(switched, reduced)
+            for reduced in enumerate_reduced_configurations(switched)
+        ]
+        assert_reguard_matches(switched, configs)
+
+    @pytest.mark.parametrize("setup", ["I", "II", "III", "IV"])
+    def test_every_raw_configuration_n3(self, setup):
+        switched, _ = bimmc.generate(3, setup)
+        configs = [Configuration(m) for m in itertools.product(bimmc.MODES, repeat=3)]
+        assert len(configs) == 64
+        assert_reguard_matches(switched, configs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_raw_configurations_n64_shuffled(self, seed):
+        rng = random.Random(seed)
+        switched, _ = bimmc.generate(64, "IV")
+        configs = [Configuration(tuple(rng.choices(bimmc.MODES, k=64))) for _ in range(50)]
+        configs.append(Configuration(("forward",) * 32 + ("bypass1",) * 32))
+        rng.shuffle(configs)
+        assert_reguard_matches(switched, configs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_three_class_model_every_order(self, n):
+        modes = three_class_switched(n).template.modes
+        configs = [Configuration(m) for m in itertools.product(modes, repeat=n)]
+        for first in range(len(configs)):
+            switched = three_class_switched(n)
+            assert_reguard_matches(switched, configs[first:] + configs[:first])
+
+    def test_random_templates_with_global_equations(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            template = random_template(rng)
+            n = rng.randint(1, 3)
+            switched = SwitchedModel(
+                template,
+                n,
+                (GlobalEquation("g1", frozenset({"s"}), frozenset({"a"}), fault="f_g"),),
+                ("s",),
+            )
+            configs = [Configuration(m) for m in itertools.product(template.modes, repeat=n)]
+            rng.shuffle(configs)
+            assert_reguard_matches(switched, configs)
+
+    def test_threads_sharing_one_switched_model(self):
+        # Threads race to build the first configuration and re-guard from it.
+        switched, _ = bimmc.generate(8, "III")
+        rng = random.Random(3)
+        configs = [Configuration(tuple(rng.choices(bimmc.MODES, k=8))) for _ in range(12)]
+        results: dict[int, list] = {}
+
+        def work(t):
+            order = configs[t:] + configs[:t]
+            results[t] = [(c, instantiate(switched, c)) for c in order for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(6))
+        for pairs in results.values():
+            for config, model in pairs:
+                assert_same_model(model, _instantiate_by_name(switched, config.modes))
+
+    def test_first_configuration_leaves_equality_alone(self, fb_switched):
+        parts = (fb_switched.template, 3, fb_switched.global_equations, fb_switched.shared_unknowns)
+        one, other = SwitchedModel(*parts), SwitchedModel(*parts)
+        config = Configuration(("forward", "bypass1", "backward"))
+        instantiate(one, Configuration(("bypass2",) * 3))
+        assert one == other
+        assert instantiate(one, config) == instantiate(other, config)
+
+
+class TestInstantiateRefusals:
+    """Every refusal holds whatever was instantiated before."""
+
+    @pytest.mark.parametrize(
+        "extra_equation, extra_unknown, match",
+        [
+            (GlobalEquation("e1,1", frozenset({"v_out"})), None, "duplicate equation"),
+            (None, "v_p,1", "duplicate unknown"),
+        ],
+    )
+    def test_failed_first_build_is_not_kept(self, fb_switched, extra_equation, extra_unknown, match):
+        switched = SwitchedModel(
+            fb_switched.template,
+            3,
+            fb_switched.global_equations + ((extra_equation,) if extra_equation else ()),
+            fb_switched.shared_unknowns + ((extra_unknown,) if extra_unknown else ()),
+        )
+        config = Configuration(("forward", "bypass1", "backward"))
+        for _ in range(2):
+            with pytest.raises(InputError, match=match):
+                instantiate(switched, config)
+        with pytest.raises(InputError, match=match):
+            instantiate(switched, Configuration(("bypass1",) * 3))
+
+    def test_bad_configurations_refused_after_a_first_build(self):
+        switched, _ = bimmc.generate(3, "I")
+        instantiate(switched, Configuration(("forward",) * 3))
+        with pytest.raises(InputError, match="length"):
+            instantiate(switched, Configuration(("forward",) * 2))
+        with pytest.raises(InputError, match="unknown mode"):
+            instantiate(switched, Configuration(("forward", "sideways", "bypass1")))
+
+    def test_reguard_refuses_undeclared_unknown(self, fb_switched):
+        base = instantiate(fb_switched, Configuration(("forward",) * 3))
+        with pytest.raises(InputError, match=r"'e9,2'.*'v_ghost'"):
+            _reguard(base, {base.equations.index("e9,2"): frozenset({"v_sm,2", "v_ghost"})})
 
 
 class TestCanonicalize:
