@@ -17,6 +17,7 @@ from switchdiag.oraclecheck import (
     remove_equation,
 )
 from switchdiag.structural import (
+    IsolabilityReport,
     StructuralModel,
     detectability_set,
     dm_decompose,
@@ -214,6 +215,18 @@ def chain_model(length: int, extra_tail: bool = False) -> StructuralModel:
     return model_of(incidence)
 
 
+def partition_from_decomposition(model, dm):
+    """Isolability read off a decomposition: a fault is detectable when its
+    equation is overdetermined, and faults group by their equations' blocks."""
+    block_of = {eq: i for i, block in enumerate(dm.fine_blocks) for eq in block}
+    detectable = frozenset(f for f in model.faults if model.fault_map[f] in dm.over.equations)
+    cells = {}
+    for f in detectable:
+        cells.setdefault(block_of[model.fault_map[f]], set()).add(f)
+    partition = tuple(sorted(map(frozenset, cells.values()), key=sorted))
+    return IsolabilityReport(detectable, partition, frozenset(model.faults) - detectable)
+
+
 class TestAgainstDefinitionalReference:
     """The incremental fine-block pass equals literal removal and re-decomposition."""
 
@@ -266,14 +279,18 @@ class TestAgainstDefinitionalReference:
         for k in range(17):
             config = representative_configuration(switched, ReducedConfiguration((k, 16 - k)))
             model = instantiate(switched, config)
-            assert dm_decompose(model) == definitional_dm_decompose(model), k
+            reference = definitional_dm_decompose(model)
+            assert dm_decompose(model) == reference, k
+            assert isolability_partition(model) == partition_from_decomposition(model, reference), k
 
     def test_half_inserted_n64_setup_iv(self):
         switched, _ = bimmc.generate(64, "IV")
         model = instantiate(switched, Configuration(("forward",) * 32 + ("bypass1",) * 32))
         dm = dm_decompose(model)
         assert len(dm.fine_blocks) == 226
-        assert dm == definitional_dm_decompose(model)
+        reference = definitional_dm_decompose(model)
+        assert dm == reference
+        assert isolability_partition(model) == partition_from_decomposition(model, reference)
 
 
 class TestLongAugmentingPaths:
