@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    names = args.setups.split(",") if args.setups else list(bimmc.SETUPS)
+    names = list(bimmc.SETUPS) if args.setups is None else args.setups.split(",")
     setups = [_parse_setup(name.strip()) for name in names]
     report = pipeline.sweep(args.n, setups)
     if args.full_enumeration:

@@ -196,6 +196,13 @@ class TestSweep:
         assert "duplicate sensor setup identifiers: ['I']" in err
         assert out == ""
 
+    @pytest.mark.parametrize("setups", ["", " ", "I,"], ids=["empty", "blank", "trailing-comma"])
+    def test_empty_setup_name_is_input_error(self, capsys, setups):
+        code, out, err = run_cli(capsys, "sweep", "--n", "1", "--setups", setups)
+        assert_input_error(code, err)
+        assert "unknown sensor setup ''" in err
+        assert out == ""
+
     def test_preset_prefix_with_full_enumeration(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "2", "--setups", "bimmc:I",
                                  "--full-enumeration", "--format", "json")
