@@ -274,26 +274,27 @@ def aggregate_report(report: IsolabilityReport, catalogue: Mapping[str, str]) ->
         if fault not in catalogue:
             raise InputError(f"report fault {fault!r} is absent from the catalogue")
 
-    detectable = frozenset(catalogue[f] for f in report.detectable)
+    # Union-find over cells: each reported name remembers the first cell it
+    # appeared in, and every later cell holding it joins that one.
+    cells = report.non_isolable_partition
+    parent = list(range(len(cells)))
+
+    def find(index: int) -> int:
+        while parent[index] != index:
+            parent[index] = parent[parent[index]]
+            index = parent[index]
+        return index
+
+    first: dict[str, int] = {}
+    for index, cell in enumerate(cells):
+        for f in cell:
+            home = first.setdefault(catalogue[f], index)
+            if home != index:
+                parent[find(index)] = find(home)
+
+    merged: dict[int, list[str]] = {}
+    for name, index in first.items():
+        merged.setdefault(find(index), []).append(name)
+    detectable = frozenset(first)
     non_detectable = frozenset(catalogue[f] for f in report.non_detectable) - detectable
-
-    # Union-find over reported names: each cell joins the names it holds.
-    parent: dict[str, str] = {}
-
-    def find(name: str) -> str:
-        parent.setdefault(name, name)
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    for cell in report.non_isolable_partition:
-        roots = [find(catalogue[f]) for f in cell]
-        for root in roots[1:]:
-            parent[find(root)] = find(roots[0])
-
-    merged: dict[str, set[str]] = {}
-    for name in parent:
-        merged.setdefault(find(name), set()).add(name)
-    partition = _canonical_partition(frozenset(c) for c in merged.values())
-    return IsolabilityReport(detectable, partition, non_detectable)
+    return IsolabilityReport(detectable, _canonical_partition(merged.values()), non_detectable)

@@ -242,21 +242,12 @@ def output_file(path: str | Path):
 
 
 def decomposition_to_dict(dm: DmDecomposition) -> dict:
-    return {
-        "under": {
-            "equations": sorted(dm.under.equations),
-            "unknowns": sorted(dm.under.unknowns),
-        },
-        "just": {
-            "equations": sorted(dm.just.equations),
-            "unknowns": sorted(dm.just.unknowns),
-        },
-        "over": {
-            "equations": sorted(dm.over.equations),
-            "unknowns": sorted(dm.over.unknowns),
-        },
-        "fine_blocks": [sorted(block) for block in dm.fine_blocks],
+    data = {
+        label: {"equations": sorted(part.equations), "unknowns": sorted(part.unknowns)}
+        for label, part in (("under", dm.under), ("just", dm.just), ("over", dm.over))
     }
+    data["fine_blocks"] = [sorted(block) for block in dm.fine_blocks]
+    return data
 
 
 def decomposition_to_dot(model: StructuralModel, dm: DmDecomposition) -> str:

@@ -28,6 +28,7 @@ from .structural import (
     StructuralModel,
     _canonical_partition,
     _coarse_parts,
+    _named_parts,
     detectability_set,
     dm_decompose,
     isolability_partition,
@@ -112,13 +113,12 @@ def _oracle_matching_size(model: StructuralModel) -> int:
     """
     if not model.equations or not model.unknowns:
         return 0
-    eq_index = {e: i for i, e in enumerate(model.equations)}
     var_index = {x: j for j, x in enumerate(model.unknowns)}
     indptr = np.zeros(len(model.equations) + 1, dtype=np.int32)
     cols: list[int] = []
-    for e in model.equations:
-        cols.extend(sorted(var_index[x] for x in model.incidence[e]))
-        indptr[eq_index[e] + 1] = len(cols)
+    for i, (_, row_unknowns, _) in enumerate(model.rows):
+        cols.extend(sorted(var_index[x] for x in row_unknowns))
+        indptr[i + 1] = len(cols)
     if not cols:
         return 0
     graph = csr_matrix(
@@ -157,8 +157,8 @@ def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
     the removed equation's block.  Costs one model rebuild and one fresh
     matching per block; test use only.
     """
-    coarse = _coarse_parts(model)
-    over = coarse.over.equations
+    under, just, over_part = _named_parts(model, _coarse_parts(model))
+    over = over_part.equations
     assigned: set[str] = set()
     blocks: list[frozenset[str]] = []
     for eq in sorted(over):
@@ -169,8 +169,7 @@ def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
             raise InternalConsistencyError("fine blocks do not form a partition")
         assigned |= block
         blocks.append(block)
-    blocks.sort(key=sorted)
-    return DmDecomposition(coarse.under, coarse.just, coarse.over, tuple(blocks))
+    return DmDecomposition(under, just, over_part, _canonical_partition(blocks))
 
 
 def oracle_partition(model: StructuralModel) -> IsolabilityReport:
@@ -228,7 +227,7 @@ def oracle_partition(model: StructuralModel) -> IsolabilityReport:
                     raise InternalConsistencyError(
                         f"oracle non-isolability is not transitive at ({fi}, {fj})"
                     )
-    partition = _canonical_partition(frozenset(c) for c in cells.values())
+    partition = _canonical_partition(cells.values())
     return IsolabilityReport(detectable, partition, non_detectable)
 
 

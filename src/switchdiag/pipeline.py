@@ -9,6 +9,8 @@ the compact representation: one row per setup, one column group per
 inserted-cell count, non-isolable sets listed per mode class.
 """
 
+import csv
+import io
 import itertools
 import json
 from collections.abc import Callable, Mapping, Sequence
@@ -166,13 +168,10 @@ def compact(
     names = ("insertion", "bypass")
     if len(classes) != len(names):
         raise InputError(f"compact needs an insertion and a bypass class, not {len(classes)}")
-    members: dict[str, list[int]] = {name: [] for name in names}
-    for idx, mode in enumerate(config.modes, start=1):
-        members[names[mode_class(classes, mode)]].append(idx)
-
     sm_class = {
-        idx: cls for cls, indices in members.items() for idx in indices
+        idx: names[mode_class(classes, mode)] for idx, mode in enumerate(config.modes, start=1)
     }
+    members = {name: [idx for idx, cls in sm_class.items() if cls == name] for name in names}
     per_sm: dict[int, set[frozenset[str]]] = {}
     pack_membership: dict[str, str | None] = {
         f: None for f in sorted(report.detectable) if split_instance_name(f) is None
@@ -397,9 +396,6 @@ def _render_json(report: SweepReport) -> str:
 
 
 def _render_csv(report: SweepReport) -> str:
-    import csv
-    import io
-
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
@@ -460,9 +456,6 @@ def render_report(report: IsolabilityReport, fmt: str = "md") -> str:
         }
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     if fmt == "csv":
-        import csv
-        import io
-
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["fault", "detectable", "cell"])

@@ -23,15 +23,19 @@ Aslund & Nyberg (IEEE TSMC-A 2008).  Dominators are computed by the
 iteration of Cooper, Harvey & Kennedy, "A simple, fast dominance
 algorithm" (2001).  The first sweep walks exactly that digraph, and its
 postorder is the order the dominator pass iterates, so the fine-block pass
-walks nothing itself.  A whole decomposition costs one matching plus work
+walks nothing itself.  Coarse parts and fine blocks are integer codes, one
+per equation: :func:`isolability_partition` groups the faults by their
+equations' block ids, and names are built only by :func:`dm_decompose`
+and the reports.  A whole decomposition costs one matching plus work
 near-linear in practice in the number of incidence edges, all of it
 iterative, so path lengths are not bounded by the recursion limit.
 
 The public fields of every type are fixed at construction, and all
 operations are pure functions of their inputs.  A model's integer
-adjacency is a cache filled on first use; a model built from another by
-re-guarding rows shares its lists.  No result depends on a cache or on
-the order of calls, so models can be shared freely across threads.
+adjacency and its name-keyed ``incidence`` are caches filled on first use;
+a model built from another by re-guarding rows shares its adjacency lists.
+No result depends on a cache or on the order of calls, so models can be
+shared freely across threads.
 """
 
 from collections import Counter
@@ -58,14 +62,14 @@ class StructuralModel:
     ``rows`` holds one ``(equation, unknowns, fault)`` triple per equation:
     the unknowns occurring in it (an empty set is legal and marks an
     equation relating only known signals) and the one fault entering it, or
-    None.  ``equations``, ``incidence``, ``faults`` and ``fault_map`` are
-    derived from the rows once, in row order, and are read-only.
+    None.  ``equations``, ``faults`` and ``fault_map`` are derived from the
+    rows once, in row order, and ``incidence`` on first use; all are
+    read-only.
     """
 
     rows: tuple[tuple[str, frozenset[str], str | None], ...]
     unknowns: tuple[str, ...]
     equations: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    incidence: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     faults: tuple[str, ...] = field(init=False, repr=False, compare=False)
     fault_map: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
@@ -82,11 +86,15 @@ class StructuralModel:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "unknowns", unknowns)
         object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "incidence", {eq: row_unknowns for eq, row_unknowns, _ in rows})
         object.__setattr__(self, "faults", faults)
         object.__setattr__(
             self, "fault_map", {fault: eq for eq, _, fault in rows if fault is not None}
         )
+
+    @cached_property
+    def incidence(self) -> Mapping[str, frozenset[str]]:
+        """Equation -> the unknowns occurring in it."""
+        return {eq: row_unknowns for eq, row_unknowns, _ in self.rows}
 
     @cached_property
     def _index(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -114,7 +122,7 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
         return base
     var_index = {x: j for j, x in enumerate(base.unknowns)}
     adj, rev = map(list, base._index)
-    rows, incidence = list(base.rows), dict(base.incidence)
+    rows = list(base.rows)
     dropped: dict[int, list[int]] = {}
     added: dict[int, list[int]] = {}
     for i, row_unknowns in changes.items():
@@ -123,7 +131,6 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
         if stray:
             raise InputError(f"equation {eq!r} references undeclared unknowns {sorted(stray)}")
         rows[i] = (eq, row_unknowns, fault)
-        incidence[eq] = row_unknowns
         old, new = set(adj[i]), {var_index[x] for x in row_unknowns}
         adj[i] = sorted(new)
         for j in old - new:
@@ -138,7 +145,6 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
         rows=tuple(rows),
         unknowns=base.unknowns,
         equations=base.equations,
-        incidence=incidence,
         faults=base.faults,
         fault_map=base.fault_map,
         _index=(adj, rev),
@@ -335,12 +341,17 @@ def _reach(
     return post, reached, hit
 
 
+# Coarse part codes: 2 * (reached by the over sweep) + (reached by the
+# under sweep), so a vertex both sweeps reached would read 3.
+_JUST, _UNDER, _OVER, _MET = 0, 1, 2, 3
+
+
 class _Coarse(NamedTuple):
-    under: PartPair
-    just: PartPair
-    over: PartPair
-    # The maximum matching, and the overdetermined equations in the over
-    # sweep's postorder, which the dominator pass iterates.
+    # The coarse part of each equation and unknown, the maximum matching,
+    # and the overdetermined equations in the over sweep's postorder, which
+    # the dominator pass iterates.
+    eq_part: list[int]
+    var_part: list[int]
     eq_match: list[int]
     post: list[int]
 
@@ -355,45 +366,43 @@ def _coarse_parts(model: StructuralModel) -> _Coarse:
     exposed_eqs = [i for i, x in enumerate(eq_match) if x < 0]
     post, over_eqs, over_vars = _reach(adj, var_match, exposed_eqs)
     _, under_vars, under_eqs = _reach(rev, eq_match, [x for x, i in enumerate(var_match) if i < 0])
+    eq_part = [2 * o + u for o, u in zip(over_eqs, under_eqs)]
+    var_part = [2 * o + u for o, u in zip(over_vars, under_vars)]
 
     # A maximum matching admits no augmenting path, so the two sweeps
     # cannot meet.
-    if any(o and u for o, u in zip(over_eqs, under_eqs)) or any(
-        o and u for o, u in zip(over_vars, under_vars)
-    ):
+    if _MET in eq_part or _MET in var_part:
         raise InternalConsistencyError("DM sweeps overlap; matching was not maximum")
-    just_eqs = [not (o or u) for o, u in zip(over_eqs, under_eqs)]
-    just_vars = [not (o or u) for o, u in zip(over_vars, under_vars)]
-    if sum(just_eqs) != sum(just_vars):
+    if eq_part.count(_JUST) != var_part.count(_JUST):
         raise InternalConsistencyError("just-determined part is not square")
+    return _Coarse(eq_part, var_part, eq_match, post)
 
-    def part(eq_flags: list[bool], var_flags: list[bool]) -> PartPair:
-        return PartPair(
-            frozenset(eq for eq, flag in zip(model.equations, eq_flags) if flag),
-            frozenset(x for x, flag in zip(model.unknowns, var_flags) if flag),
+
+def _named_parts(model: StructuralModel, coarse: _Coarse) -> tuple[PartPair, PartPair, PartPair]:
+    # The under, just and over parts by name.
+    return tuple(
+        PartPair(
+            frozenset(eq for eq, p in zip(model.equations, coarse.eq_part) if p == part),
+            frozenset(x for x, p in zip(model.unknowns, coarse.var_part) if p == part),
         )
-
-    return _Coarse(
-        under=part(under_eqs, under_vars),
-        just=part(just_eqs, just_vars),
-        over=part(over_eqs, over_vars),
-        eq_match=eq_match,
-        post=post,
+        for part in (_UNDER, _JUST, _OVER)
     )
 
 
 def plus_part(model: StructuralModel) -> frozenset[str]:
     """Equations of the overdetermined part (the analytical redundancy)."""
-    return _coarse_parts(model).over.equations
+    names = model.equations
+    return frozenset(names[i] for i in _coarse_parts(model).post)
 
 
-def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[list[int]]:
-    # Fine blocks as equation indices: the subtrees under the root's children
-    # in the dominator tree of the alternating digraph (see dm_decompose).
-    # The digraph has an edge e -> var_match[x] for each unknown x of e, and
-    # a root, index ``len(adj)``, joined to every exposed equation.  The over
-    # sweep walked it from the root's children in order, so its postorder
-    # plus the root is the digraph's postorder.
+def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[int]:
+    # The fine block id of each equation: the root child heading its subtree
+    # in the dominator tree of the alternating digraph (see dm_decompose)
+    # for an overdetermined equation, -1 for any other.  The digraph has an
+    # edge e -> var_match[x] for each unknown x of e, and a root, index
+    # ``len(adj)``, joined to every exposed equation.  The over sweep walked
+    # it from the root's children in order, so its postorder plus the root
+    # is the digraph's postorder.
     adj, rev = model._index
     eq_match = coarse.eq_match
     root = len(adj)
@@ -432,11 +441,23 @@ def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[list[int]]:
                 changed = True
     # A dominator precedes what it dominates in reverse postorder.
     top = [-1] * root
-    blocks: dict[int, list[int]] = {}
     for v in order:
         top[v] = v if idom[v] == root else top[idom[v]]
-        blocks.setdefault(top[v], []).append(v)
-    return list(blocks.values())
+    return top
+
+
+def _by_block(top: list[int], names: Iterable[str | None]) -> dict[int, list[str]]:
+    # Names, one per equation, grouped by that equation's block id; None
+    # names are skipped, and -1 collects the equations outside every block.
+    groups: dict[int, list[str]] = {}
+    for block, name in zip(top, names):
+        if name is not None:
+            groups.setdefault(block, []).append(name)
+    return groups
+
+
+def _canonical_partition(cells: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
+    return tuple(sorted(map(frozenset, cells), key=sorted))
 
 
 def dm_decompose(model: StructuralModel) -> DmDecomposition:
@@ -464,10 +485,9 @@ def dm_decompose(model: StructuralModel) -> DmDecomposition:
     no recursion and no model rebuilt.
     """
     coarse = _coarse_parts(model)
-    names = model.equations
-    blocks = [frozenset(names[i] for i in block) for block in _fine_blocks(model, coarse)]
-    blocks.sort(key=sorted)
-    return DmDecomposition(coarse.under, coarse.just, coarse.over, tuple(blocks))
+    blocks = _by_block(_fine_blocks(model, coarse), model.equations)
+    blocks.pop(-1, None)
+    return DmDecomposition(*_named_parts(model, coarse), _canonical_partition(blocks.values()))
 
 
 def detectability_set(model: StructuralModel) -> tuple[frozenset[str], frozenset[str]]:
@@ -476,11 +496,9 @@ def detectability_set(model: StructuralModel) -> tuple[frozenset[str], frozenset
     A fault is structurally detectable exactly when its equation lies in
     the overdetermined part of the model.
     """
-    return _split_by_plus(model, plus_part(model))
-
-
-def _canonical_partition(cells: Iterable[frozenset[str]]) -> tuple[frozenset[str], ...]:
-    return tuple(sorted(cells, key=sorted))
+    plus = plus_part(model)
+    detectable = frozenset(f for f in model.faults if model.fault_map[f] in plus)
+    return detectable, frozenset(model.faults) - detectable
 
 
 def isolability_partition(model: StructuralModel) -> IsolabilityReport:
@@ -488,20 +506,14 @@ def isolability_partition(model: StructuralModel) -> IsolabilityReport:
 
     Faults whose equations share a fine block of the overdetermined part
     are mutually non-isolable; all other detectable pairs are isolable.
+    The faults are grouped by their equations' integer block ids, so no
+    equation or block is named on the way.
     """
-    dm = dm_decompose(model)
-    detectable, non_detectable = _split_by_plus(model, dm.over.equations)
-    block_index = {eq: i for i, block in enumerate(dm.fine_blocks) for eq in block}
-    cells: dict[int, set[str]] = {}
-    for f in detectable:
-        cells.setdefault(block_index[model.fault_map[f]], set()).add(f)
-    partition = _canonical_partition(frozenset(c) for c in cells.values())
-    return IsolabilityReport(detectable, partition, non_detectable)
-
-
-def _split_by_plus(model: StructuralModel, plus: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-    detectable = frozenset(f for f in model.faults if model.fault_map[f] in plus)
-    return detectable, frozenset(model.faults) - detectable
+    top = _fine_blocks(model, _coarse_parts(model))
+    cells = _by_block(top, (fault for _, _, fault in model.rows))
+    non_detectable = frozenset(cells.pop(-1, ()))
+    partition = _canonical_partition(cells.values())
+    return IsolabilityReport(frozenset().union(*partition), partition, non_detectable)
 
 
 def partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:

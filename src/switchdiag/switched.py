@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
-from .structural import StructuralModel, _reguard
+from .structural import StructuralModel, _reguard, _unique
 
 __all__ = [
     "Configuration",
@@ -98,15 +98,11 @@ class SubmoduleTemplate:
     mode_letters: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        modes = tuple(self.modes)
+        modes = _unique(self.modes, "mode")
         if not modes:
             raise InputError("a template needs at least one mode")
-        if len(set(modes)) != len(modes):
-            raise InputError("duplicate mode identifiers")
         equations = tuple(self.equations)
-        ids = [eq.id for eq in equations]
-        if len(set(ids)) != len(ids):
-            raise InputError("duplicate equation identifiers in template")
+        _unique((eq.id for eq in equations), "template equation")
         for eq in equations:
             if set(eq.variants) != set(modes):
                 raise InputError(
@@ -175,9 +171,7 @@ class SwitchedModel:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"submodule count must be >= 1 (got {self.n})")
-        shared = tuple(self.shared_unknowns)
-        if len(set(shared)) != len(shared):
-            raise InputError("duplicate shared unknowns")
+        shared = _unique(self.shared_unknowns, "shared unknown")
         overlap = set(shared) & set(self.template.local_unknowns)
         if overlap:
             raise InputError(f"shared unknowns collide with template locals: {sorted(overlap)}")
