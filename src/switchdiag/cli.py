@@ -156,7 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="isolability report for one configuration")
     p.add_argument("--model", required=True, help="model JSON (flat or switched)")
-    p.add_argument("--config", help='configuration, e.g. "IIB" or "forward,bypass1"')
+    p.add_argument(
+        "--config",
+        help='configuration, e.g. "IIB" or "forward,bypass1"; at n=1 also one mode name',
+    )
     p.add_argument("--matrix", action="store_true", help="also print the non-isolability matrix")
     p.add_argument("--format", choices=pipeline.RENDER_FORMATS, default="md")
     p.set_defaults(handler=_cmd_analyze)

@@ -218,10 +218,17 @@ def compact(
 
 
 def sweep(n: int, setups: Sequence[str | bimmc.SensorSetup] | None = None) -> SweepReport:
-    """Nested sweep over sensor setups and 0..n inserted submodules."""
+    """Nested sweep over sensor setups and 0..n inserted submodules.
+
+    ``setups=None`` sweeps every preset; an empty sequence is refused.
+    """
     if n < 1:
         raise InputError(f"submodule count must be >= 1 (got {n})")
-    setup_objs = tuple(bimmc.sensor_setup(s) for s in (setups or list(bimmc.SETUPS)))
+    if setups is None:
+        setups = list(bimmc.SETUPS)
+    elif not setups:
+        raise InputError("the list of sensor setups is empty")
+    setup_objs = tuple(bimmc.sensor_setup(s) for s in setups)
     _unique((s.id for s in setup_objs), "sensor setup")
     cells: dict[tuple[str, int], CompactIsolability] = {}
     for setup in setup_objs:
@@ -468,10 +475,26 @@ def render_report(report: IsolabilityReport, fmt: str = "md") -> str:
 
 
 def render_matrix(matrix: IsolabilityMatrix) -> str:
-    """Dot-convention text rendering: a dot marks a non-isolable pair."""
+    """Dot-convention text rendering: a dot marks a non-isolable pair.
+
+    Every column is one mark padded to the widest fault name, so a row is
+    the all-``·`` row text with ``•`` spliced in at its True columns,
+    found with ``tuple.index``: O(D) string copying per row plus one step
+    per True entry.
+    """
     width = max((len(f) for f in matrix.faults), default=0)
+    dot, bullet = "·".ljust(width), "•".ljust(width)
+    step = len(dot) + 1
+    blank = " ".join([dot] * len(matrix.faults))
     lines = [" " * (width + 2) + " ".join(f.ljust(width) for f in matrix.faults)]
     for fault, row in zip(matrix.faults, matrix.entries):
-        marks = " ".join(("•" if entry else "·").ljust(width) for entry in row)
-        lines.append(fault.ljust(width + 2) + marks)
-    return "\n".join(lines) + "\n"
+        parts = [fault.ljust(width + 2)]
+        start, j = 0, -1
+        for _ in range(row.count(True)):
+            j = row.index(True, j + 1)
+            parts += (blank[start:j * step], bullet)
+            start = j * step + len(dot)
+        parts.append(blank[start:])
+        lines.append("".join(parts))
+    lines.append("")  # the closing newline, without copying the text again
+    return "\n".join(lines)

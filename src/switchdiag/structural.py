@@ -32,10 +32,11 @@ iterative, so path lengths are not bounded by the recursion limit.
 
 The public fields of every type are fixed at construction, and all
 operations are pure functions of their inputs.  A model's integer
-adjacency and its name-keyed ``incidence`` are caches filled on first use;
-a model built from another by re-guarding rows shares its adjacency lists.
-No result depends on a cache or on the order of calls, so models can be
-shared freely across threads.
+adjacency and its name-keyed ``incidence``, and a report's fault-to-cell
+index, are caches filled on first use; a model built from another by
+re-guarding rows shares its adjacency lists.  No result depends on a cache
+or on the order of calls, so models and reports can be shared freely
+across threads.
 """
 
 from collections import Counter
@@ -208,11 +209,16 @@ class IsolabilityReport:
         if self.detectable & self.non_detectable:
             raise InternalConsistencyError("detectable and non-detectable sets overlap")
 
+    @cached_property
+    def _cell_index(self) -> Mapping[str, int]:
+        # Each detectable fault's position in non_isolable_partition.
+        return {f: i for i, cell in enumerate(self.non_isolable_partition) for f in cell}
+
     def cell_of(self, fault: str) -> frozenset[str]:
-        for cell in self.non_isolable_partition:
-            if fault in cell:
-                return cell
-        raise InputError(f"fault {fault!r} is not detectable in this report")
+        index = self._cell_index.get(fault)
+        if index is None:
+            raise InputError(f"fault {fault!r} is not detectable in this report")
+        return self.non_isolable_partition[index]
 
 
 @dataclass(frozen=True)
@@ -226,6 +232,12 @@ class IsolabilityMatrix:
 
     faults: tuple[str, ...]
     entries: tuple[tuple[bool, ...], ...]
+
+    def __post_init__(self):
+        if len(self.entries) != len(self.faults) or any(
+            len(row) != len(self.faults) for row in self.entries
+        ):
+            raise InternalConsistencyError("matrix entries must be square over the faults")
 
     @property
     def is_identity(self) -> bool:
@@ -517,11 +529,22 @@ def isolability_partition(model: StructuralModel) -> IsolabilityReport:
 
 
 def partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
-    """Non-isolability matrix induced by a report's partition cells."""
+    """Non-isolability matrix induced by a report's partition cells.
+
+    The faults of one cell have equal rows, so each cell builds its row
+    once, True at the cell's columns, and every fault of the cell shares
+    that tuple.  Cost: one pass over the faults plus O(|cell|) steps per
+    cell, with the rows' D entries filled by list copying.
+    """
     order = tuple(sorted(report.detectable))
-    cell_index = {f: i for i, cell in enumerate(report.non_isolable_partition) for f in cell}
-    entries = tuple(
-        tuple(cell_index[fi] == cell_index[fj] for fj in order)
-        for fi in order
-    )
-    return IsolabilityMatrix(order, entries)
+    cell_index = report._cell_index
+    columns: list[list[int]] = [[] for _ in report.non_isolable_partition]
+    for j, fault in enumerate(order):
+        columns[cell_index[fault]].append(j)
+    rows = []
+    for cell_columns in columns:
+        row = [False] * len(order)
+        for j in cell_columns:
+            row[j] = True
+        rows.append(tuple(row))
+    return IsolabilityMatrix(order, tuple(rows[cell_index[fault]] for fault in order))

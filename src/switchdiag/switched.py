@@ -371,13 +371,25 @@ def representative_configuration(
 
 
 def parse_configuration(template: SubmoduleTemplate, text: str, n: int) -> Configuration:
-    """Parse ``"IIB"``-style letter strings or comma-separated mode names."""
+    """Parse ``"IIB"``-style letter strings or comma-separated mode names.
+
+    At n=1 a text without a comma may also be one mode name; it is refused
+    as ambiguous when it is also the letter of a different mode.
+    """
     text = text.strip()
     if "," in text:
         modes = tuple(part.strip() for part in text.split(","))
         for mode in modes:
             if mode not in template.modes:
                 raise InputError(f"unknown mode name {mode!r}")
+    elif n == 1 and text in template.modes:
+        lettered = template.mode_letters.get(text, text)
+        if len(text) == 1 and lettered != text:
+            raise InputError(
+                f"configuration {text!r} is ambiguous: it names mode {text!r}"
+                f" and is the letter of mode {lettered!r}"
+            )
+        modes = (text,)
     else:
         letters = template.mode_letters
         if not letters:

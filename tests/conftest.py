@@ -2,7 +2,7 @@ import string
 
 from hypothesis import settings, strategies as st
 
-from switchdiag.structural import StructuralModel
+from switchdiag.structural import IsolabilityMatrix, IsolabilityReport, StructuralModel
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -53,3 +53,51 @@ def models(draw, max_equations: int = 8, max_unknowns: int = 6, with_faults: boo
 def identifiers(draw, prefix: str):
     body = draw(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=4))
     return f"{prefix}{body}"
+
+
+# Fault names of unequal lengths, the empty name and the two matrix marks
+# included, so a column's padding and position are both exercised.
+_FAULT_NAMES = st.text(alphabet="fab,1·•", max_size=6)
+
+
+@st.composite
+def reports(draw, max_faults: int = 10):
+    """Random isolability reports: detectable faults in random cells."""
+    names = draw(st.lists(_FAULT_NAMES, unique=True, max_size=max_faults))
+    split = draw(st.integers(0, len(names)))
+    detectable = names[:split]
+    cells: dict[int, set[str]] = {}
+    for fault in detectable:
+        cells.setdefault(draw(st.integers(0, len(detectable) - 1)), set()).add(fault)
+    return IsolabilityReport(
+        frozenset(detectable), tuple(map(frozenset, cells.values())), frozenset(names[split:])
+    )
+
+
+@st.composite
+def matrices(draw, max_faults: int = 8):
+    """Random square boolean matrices, asymmetric and without a set diagonal."""
+    faults = tuple(draw(st.lists(_FAULT_NAMES, unique=True, max_size=max_faults)))
+    row = st.tuples(*[st.booleans()] * len(faults))
+    entries = draw(st.lists(row, min_size=len(faults), max_size=len(faults)))
+    return IsolabilityMatrix(faults, tuple(entries))
+
+
+#: Hand-made reports at the edges: no fault, one fault, the empty fault
+#: name (a zero column width), and names of unequal lengths.
+EDGE_REPORTS = {
+    "empty": IsolabilityReport(frozenset(), (), frozenset()),
+    "one-fault": IsolabilityReport(frozenset({"f"}), (frozenset({"f"}),), frozenset()),
+    "empty-name": IsolabilityReport(frozenset({""}), (frozenset({""}),), frozenset({"g"})),
+    "unequal-names": IsolabilityReport(
+        frozenset({"f", "f_vcell,12", "f_iout", "f_cell,3", "g"}),
+        (frozenset({"f", "f_cell,3"}), frozenset({"f_vcell,12", "g"}), frozenset({"f_iout"})),
+        frozenset({"f_vout"}),
+    ),
+}
+
+#: Rows that differ from their transposes, an empty row and a full row.
+ASYMMETRIC_MATRIX = IsolabilityMatrix(
+    ("fa", "f_long", "f,3"),
+    ((True, True, False), (False, False, False), (True, True, True)),
+)

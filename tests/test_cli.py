@@ -169,6 +169,45 @@ class TestAnalyze:
         assert "duplicate fault identifiers: ['f']" in err
 
 
+class TestSingleModuleConfiguration:
+    """At n=1 a configuration may be one mode name, with or without letters."""
+
+    @staticmethod
+    def analyze(capsys, tmp_path, config, letters=True, rename=None):
+        switched, _ = bimmc.generate(1, "II")
+        data = modelio.switched_model_to_dict(switched, bimmc.FAULT_AGGREGATION)
+        if not letters:
+            del data["template"]["mode_letters"]
+        text = json.dumps(data)
+        for old, new in (rename or {}).items():
+            text = text.replace(json.dumps(old), json.dumps(new))
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        return run_cli(capsys, "analyze", "--model", str(path), "--config", config, "--matrix")
+
+    @pytest.mark.parametrize("letters", [True, False], ids=["letters", "no-letters"])
+    def test_one_mode_name(self, capsys, tmp_path, letters):
+        code, out, _ = self.analyze(capsys, tmp_path, "forward", letters)
+        assert code == EXIT_OK
+        assert out == self.analyze(capsys, tmp_path, "I")[1]
+
+    def test_mode_name_without_a_letter(self, capsys, tmp_path):
+        code, out, _ = self.analyze(capsys, tmp_path, "bypass2", letters=False)
+        assert code == EXIT_OK
+        assert out == self.analyze(capsys, tmp_path, "B")[1]
+
+    def test_letter_without_letters_is_input_error(self, capsys, tmp_path):
+        code, _, err = self.analyze(capsys, tmp_path, "I", letters=False)
+        assert_input_error(code, err)
+        assert "no mode letters" in err
+
+    def test_name_that_is_another_modes_letter_is_ambiguous(self, capsys, tmp_path):
+        # Mode bypass2 renamed to I, which is also the letter of forward.
+        code, _, err = self.analyze(capsys, tmp_path, "I", rename={"bypass2": "I"})
+        assert_input_error(code, err)
+        assert "ambiguous" in err
+
+
 class TestSweep:
     def test_markdown_table(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "2")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from switchdiag import bimmc, pipeline
 from switchdiag.errors import InputError, InternalConsistencyError
@@ -13,8 +14,11 @@ from switchdiag.pipeline import (
     render_report,
     sweep,
 )
-from switchdiag.structural import IsolabilityReport, partition_matrix
+from switchdiag.oraclecheck import isolability_matrix
+from switchdiag.structural import IsolabilityMatrix, IsolabilityReport, partition_matrix
 from switchdiag.switched import Configuration, canonicalize, structural_mode_classes
+
+from .conftest import ASYMMETRIC_MATRIX, EDGE_REPORTS, matrices, models, reports
 
 PAIR = frozenset({"f_cell,k", "f_vcell,k"})
 CLASSES = structural_mode_classes(bimmc.generate(1, "I")[0].template)
@@ -161,6 +165,13 @@ class TestSweep:
             a, b = report.cells[(setup, 2)], report.cells[(setup, 3)]
             assert a == b
 
+    def test_empty_setup_list_refused(self):
+        with pytest.raises(InputError, match="empty"):
+            sweep(1, [])
+
+    def test_no_setup_list_sweeps_every_preset(self):
+        assert sweep(1).setups == ("I", "II", "III", "IV")
+
     def test_repeated_setup_refused(self):
         with pytest.raises(InputError, match=r"duplicate sensor setup identifiers: \['II'\]"):
             sweep(1, ["I", "II", bimmc.SETUPS["II"]])
@@ -216,6 +227,49 @@ class TestRender:
         assert matrix.entries[idx["f_cell,3"]][idx["f_vcell,3"]]
         assert not matrix.entries[idx["f_cell,1"]][idx["f_vcell,1"]]
         assert not matrix.is_identity
+
+
+def reference_render_matrix(matrix: IsolabilityMatrix) -> str:
+    # One padded mark per entry; render_matrix must give the same text.
+    width = max((len(f) for f in matrix.faults), default=0)
+    lines = [" " * (width + 2) + " ".join(f.ljust(width) for f in matrix.faults)]
+    for fault, row in zip(matrix.faults, matrix.entries):
+        marks = " ".join(("•" if entry else "·").ljust(width) for entry in row)
+        lines.append(fault.ljust(width + 2) + marks)
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderMatrix:
+    @given(reports())
+    def test_random_reports_match_reference(self, report):
+        matrix = partition_matrix(report)
+        assert render_matrix(matrix) == reference_render_matrix(matrix)
+
+    @pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
+    def test_edge_reports_match_reference(self, report):
+        matrix = partition_matrix(report)
+        assert render_matrix(matrix) == reference_render_matrix(matrix)
+
+    def test_empty_report_is_a_blank_header(self):
+        assert render_matrix(partition_matrix(EDGE_REPORTS["empty"])) == "  \n"
+
+    def test_asymmetric_matrix_matches_reference(self):
+        text = render_matrix(ASYMMETRIC_MATRIX)
+        assert text == reference_render_matrix(ASYMMETRIC_MATRIX)
+        assert [line.count("•") for line in text.splitlines()[1:]] == [2, 0, 3]
+
+    @given(matrices())
+    def test_random_matrices_match_reference(self, matrix):
+        assert render_matrix(matrix) == reference_render_matrix(matrix)
+
+    @given(models())
+    def test_pairwise_oracle_matrices_match_reference(self, model):
+        matrix = isolability_matrix(model)
+        assert render_matrix(matrix) == reference_render_matrix(matrix)
+
+    def test_bimmc_configuration_matches_reference(self):
+        matrix = partition_matrix(analyze_configuration(16, "II", 5))
+        assert render_matrix(matrix) == reference_render_matrix(matrix)
 
 
 class TestFullEnumeration:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from switchdiag import bimmc
-from switchdiag.errors import InputError, OracleBoundError
+from switchdiag.errors import InputError, InternalConsistencyError, OracleBoundError
 from switchdiag.oraclecheck import (
     _oracle_matching_size,
     definitional_dm_decompose,
@@ -17,6 +17,7 @@ from switchdiag.oraclecheck import (
     remove_equation,
 )
 from switchdiag.structural import (
+    IsolabilityMatrix,
     IsolabilityReport,
     StructuralModel,
     detectability_set,
@@ -33,7 +34,7 @@ from switchdiag.switched import (
     representative_configuration,
 )
 
-from .conftest import models
+from .conftest import EDGE_REPORTS, models, reports
 
 
 def model_of(incidence, faults=None, unknowns=None):
@@ -396,6 +397,50 @@ class TestIsolabilityMatrix:
     @given(models())
     def test_matches_partition_induced_matrix(self, model):
         assert isolability_matrix(model) == partition_matrix(isolability_partition(model))
+
+
+def reference_partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
+    # One comparison per fault pair; partition_matrix must equal it.
+    order = tuple(sorted(report.detectable))
+    cell_index = {f: i for i, cell in enumerate(report.non_isolable_partition) for f in cell}
+    entries = tuple(
+        tuple(cell_index[fi] == cell_index[fj] for fj in order)
+        for fi in order
+    )
+    return IsolabilityMatrix(order, entries)
+
+
+class TestPartitionMatrix:
+    @given(reports())
+    def test_random_reports_match_reference(self, report):
+        assert partition_matrix(report) == reference_partition_matrix(report)
+
+    @pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
+    def test_edge_reports_match_reference(self, report):
+        assert partition_matrix(report) == reference_partition_matrix(report)
+
+    def test_empty_report(self):
+        assert partition_matrix(EDGE_REPORTS["empty"]) == IsolabilityMatrix((), ())
+
+    def test_bimmc_configuration_matches_reference(self):
+        switched, _ = bimmc.generate(16, "IV")
+        config = Configuration(("forward", "bypass1", "backward", "bypass2") * 4)
+        report = isolability_partition(instantiate(switched, config))
+        assert partition_matrix(report) == reference_partition_matrix(report)
+
+    @pytest.mark.parametrize("entries", [((True,),), ((True,), (False, True))])
+    def test_matrix_must_be_square(self, entries):
+        with pytest.raises(InternalConsistencyError, match="square"):
+            IsolabilityMatrix(("fa", "fb"), entries)
+
+    @given(reports())
+    def test_cell_of_every_fault(self, report):
+        for cell in report.non_isolable_partition:
+            for fault in cell:
+                assert report.cell_of(fault) == cell
+        for fault in report.non_detectable:
+            with pytest.raises(InputError, match="not detectable"):
+                report.cell_of(fault)
 
 
 class TestOracle:

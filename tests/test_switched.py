@@ -50,6 +50,12 @@ def random_template(rng: random.Random) -> SubmoduleTemplate:
     return SubmoduleTemplate(modes, tuple(equations), locals_)
 
 
+def _one_equation_template(modes: tuple[str, ...], letters: dict[str, str]) -> SubmoduleTemplate:
+    return SubmoduleTemplate(
+        modes, (ModeGuardedEquation.uniform("e", ("a",), modes),), ("a",), letters
+    )
+
+
 def three_class_switched(n: int) -> SwitchedModel:
     """Toy template whose three modes are structurally distinct."""
     template = SubmoduleTemplate(
@@ -358,6 +364,20 @@ class TestParseConfiguration:
     def test_full_names(self, fb_switched):
         config = parse_configuration(fb_switched.template, "forward,backward,bypass2", 3)
         assert config.modes == ("forward", "backward", "bypass2")
+
+    @pytest.mark.parametrize("text, mode", [("forward", "forward"), ("B", "bypass1")])
+    def test_one_name_or_letter_at_n1(self, fb_switched, text, mode):
+        assert parse_configuration(fb_switched.template, text, 1).modes == (mode,)
+
+    def test_one_name_without_letters_at_n1(self):
+        template = _one_equation_template(("m1", "m2"), {})
+        assert parse_configuration(template, "m2", 1).modes == ("m2",)
+
+    def test_name_that_is_another_modes_letter_is_ambiguous(self):
+        template = _one_equation_template(("A", "B"), {"A": "B"})
+        with pytest.raises(InputError, match="ambiguous"):
+            parse_configuration(template, "A", 1)
+        assert parse_configuration(template, "B", 1).modes == ("B",)
 
     def test_unknown_letter(self, fb_switched):
         with pytest.raises(InputError, match="letter"):
