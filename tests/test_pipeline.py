@@ -250,9 +250,6 @@ class TestRenderMatrix:
         matrix = partition_matrix(report)
         assert render_matrix(matrix) == reference_render_matrix(matrix)
 
-    def test_empty_report_is_a_blank_header(self):
-        assert render_matrix(partition_matrix(EDGE_REPORTS["empty"])) == "  \n"
-
     def test_asymmetric_matrix_matches_reference(self):
         text = render_matrix(ASYMMETRIC_MATRIX)
         assert text == reference_render_matrix(ASYMMETRIC_MATRIX)

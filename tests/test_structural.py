@@ -419,9 +419,6 @@ class TestPartitionMatrix:
     def test_edge_reports_match_reference(self, report):
         assert partition_matrix(report) == reference_partition_matrix(report)
 
-    def test_empty_report(self):
-        assert partition_matrix(EDGE_REPORTS["empty"]) == IsolabilityMatrix((), ())
-
     def test_bimmc_configuration_matches_reference(self):
         switched, _ = bimmc.generate(16, "IV")
         config = Configuration(("forward", "bypass1", "backward", "bypass2") * 4)
