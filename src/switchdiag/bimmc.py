@@ -208,8 +208,6 @@ def generate(n: int, setup: str | SensorSetup) -> tuple[SwitchedModel, dict[str,
     Equation counts come out as 10n+2 / 10n+3 / 11n+2 / 11n+3 for setups
     I / II / III / IV.
     """
-    if n < 1:
-        raise InputError(f"submodule count must be >= 1 (got {n})")
     setup = sensor_setup(setup)
     template = SubmoduleTemplate(
         modes=MODES,

@@ -73,11 +73,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    names = list(bimmc.SETUPS) if args.setups is None else args.setups.split(",")
-    setups = [_parse_setup(name.strip()) for name in names]
+    setups = None
+    if args.setups is not None:
+        setups = [_parse_setup(name.strip()) for name in args.setups.split(",")]
     report = pipeline.sweep(args.n, setups)
     if args.full_enumeration:
-        for setup in setups:
+        for setup in report.sensor_setups:
             checked = pipeline.full_enumeration_check(args.n, setup)
             print(f"setup {setup.id}: {checked} raw configurations match the reduced sweep")
     sys.stdout.write(pipeline.render(report, args.format))

@@ -55,12 +55,6 @@ __all__ = [
 RENDER_FORMATS = ("md", "json", "csv")
 
 
-def _generic(fault: str) -> str:
-    # Submodule faults are reported in index-free form: f_vcell,3 -> f_vcell,k.
-    parts = split_instance_name(fault)
-    return instance_name(parts[0], "k") if parts else fault
-
-
 @dataclass(frozen=True)
 class CompactIsolability:
     """Per-mode-class summary of one analyzed configuration.
@@ -179,7 +173,8 @@ def compact(
     for cell in report.non_isolable_partition:
         if len(cell) < 2:
             continue
-        sm_indices = {parts[1] for f in cell if (parts := split_instance_name(f))}
+        parsed = {f: split_instance_name(f) for f in cell}
+        sm_indices = {parts[1] for parts in parsed.values() if parts}
         if len(sm_indices) > 1:
             raise InternalConsistencyError(
                 f"non-isolable set {sorted(cell)} spans submodules {sorted(sm_indices)}"
@@ -189,9 +184,12 @@ def compact(
                 f"pack-only non-isolable set {sorted(cell)} has no compact representation"
             )
         sm = sm_indices.pop()
-        per_sm.setdefault(sm, set()).add(frozenset(_generic(f) for f in cell))
-        for f in cell:
-            if split_instance_name(f) is None:
+        # Submodule faults are listed in index-free form: f_vcell,3 -> f_vcell,k.
+        per_sm.setdefault(sm, set()).add(
+            frozenset(instance_name(parts[0], "k") if parts else f for f, parts in parsed.items())
+        )
+        for f, parts in parsed.items():
+            if parts is None:
                 pack_membership[f] = sm_class[sm]
 
     listed: dict[str, tuple[frozenset[str], ...] | None] = {}
@@ -222,8 +220,6 @@ def sweep(n: int, setups: Sequence[str | bimmc.SensorSetup] | None = None) -> Sw
 
     ``setups=None`` sweeps every preset; an empty sequence is refused.
     """
-    if n < 1:
-        raise InputError(f"submodule count must be >= 1 (got {n})")
     if setups is None:
         setups = list(bimmc.SETUPS)
     elif not setups:
@@ -323,8 +319,6 @@ def _mergeable(report: SweepReport, setup: str) -> bool:
     # each mode class is populated (bypass is absent at k = n).
     ks = range(2, report.n + 1)
     cells = [report.cells[(setup, k)] for k in ks]
-    if not cells:
-        return True
     first = cells[0]
     for cell in cells[1:]:
         if (

@@ -33,10 +33,10 @@ iterative, so path lengths are not bounded by the recursion limit.
 The public fields of every type are fixed at construction, and all
 operations are pure functions of their inputs.  A model's integer
 adjacency and its name-keyed ``incidence``, and a report's fault-to-cell
-index, are caches filled on first use; a model built from another by
-re-guarding rows shares its adjacency lists.  No result depends on a cache
-or on the order of calls, so models and reports can be shared freely
-across threads.
+index, are caches filled on first use.  The reverse adjacency is derived
+from the forward one, whose unchanged rows a re-guarded model shares.  No
+result depends on a cache or on the order of calls, so models and
+reports can be shared freely across threads.
 """
 
 from collections import Counter
@@ -101,46 +101,41 @@ class StructuralModel:
     def _index(self) -> tuple[list[list[int]], list[list[int]]]:
         """Integer adjacency in declaration order: equation -> unknowns and back.
 
-        Built on first use and kept for the model's lifetime.  Re-guarded
-        models share these lists with their base, so nothing may mutate them.
+        Built on first use; ``rev`` is the transpose of ``adj``.  Re-guarded
+        models share unchanged ``adj`` rows, so nothing may mutate them.
         """
         var_index = {x: j for j, x in enumerate(self.unknowns)}
         adj = [sorted([var_index[x] for x in row_unknowns]) for _, row_unknowns, _ in self.rows]
-        rev: list[list[int]] = [[] for _ in self.unknowns]
-        for i, row in enumerate(adj):
-            for j in row:
-                rev[j].append(i)
-        return adj, rev
+        return adj, _transpose(adj, len(self.unknowns))
+
+
+def _transpose(adj: list[list[int]], width: int) -> list[list[int]]:
+    # Unknown -> the equations it occurs in, ascending.
+    rev: list[list[int]] = [[] for _ in range(width)]
+    for i, row in enumerate(adj):
+        for j in row:
+            rev[j].append(i)
+    return rev
 
 
 def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> StructuralModel:
     # ``base`` with the unknowns of the rows at the positions ``changes``
     # keys replaced.  Names, faults and unknowns stay those of ``base``,
     # whose construction checked them, so they are shared and only the new
-    # rows are checked.  The integer adjacency is patched, not rebuilt: the
-    # replaced ``adj`` rows, and ``rev`` of the unknowns they touch.
+    # rows are checked.  Only the replaced ``adj`` rows are rebuilt, the
+    # others are shared with ``base``, and ``rev`` is derived from them.
     if not changes:
         return base
     var_index = {x: j for j, x in enumerate(base.unknowns)}
-    adj, rev = map(list, base._index)
+    adj = list(base._index[0])
     rows = list(base.rows)
-    dropped: dict[int, list[int]] = {}
-    added: dict[int, list[int]] = {}
     for i, row_unknowns in changes.items():
         eq, _, fault = rows[i]
         stray = [x for x in row_unknowns if x not in var_index]
         if stray:
             raise InputError(f"equation {eq!r} references undeclared unknowns {sorted(stray)}")
         rows[i] = (eq, row_unknowns, fault)
-        old, new = set(adj[i]), {var_index[x] for x in row_unknowns}
-        adj[i] = sorted(new)
-        for j in old - new:
-            dropped.setdefault(j, []).append(i)
-        for j in new - old:
-            added.setdefault(j, []).append(i)
-    for j in dropped.keys() | added.keys():
-        gone = set(dropped.get(j, ()))
-        rev[j] = sorted([i for i in rev[j] if i not in gone] + added.get(j, []))
+        adj[i] = sorted([var_index[x] for x in row_unknowns])
     model = object.__new__(StructuralModel)
     vars(model).update(
         rows=tuple(rows),
@@ -148,7 +143,7 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
         equations=base.equations,
         faults=base.faults,
         fault_map=base.fault_map,
-        _index=(adj, rev),
+        _index=(adj, _transpose(adj, len(base.unknowns))),
     )
     return model
 

@@ -89,7 +89,8 @@ class SubmoduleTemplate:
     """Equations, modes and private unknowns of one submodule type.
 
     ``mode_letters`` optionally maps single-letter aliases (as used in
-    configuration strings such as ``"IIB"``) to full mode names.
+    configuration strings such as ``"IIB"``) to full mode names; a comma or
+    whitespace cannot be a letter.
     """
 
     modes: tuple[str, ...]
@@ -110,6 +111,10 @@ class SubmoduleTemplate:
                 )
         letters = dict(self.mode_letters)
         for letter, mode in letters.items():
+            if len(letter) != 1 or letter == "," or letter.isspace():
+                raise InputError(
+                    f"mode letter {letter!r} must be one character, not a comma or whitespace"
+                )
             if mode not in modes:
                 raise InputError(f"mode letter {letter!r} maps to unknown mode {mode!r}")
         object.__setattr__(self, "modes", modes)

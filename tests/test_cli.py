@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import switchdiag
 from switchdiag import bimmc, modelio, pipeline
 from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
-from switchdiag.errors import InternalConsistencyError
-from switchdiag.residuals import MAX_STEPS
+from switchdiag.errors import InputError, InternalConsistencyError
+from switchdiag.residuals import MAX_STEPS, FaultStep
 
 from .conftest import OVERFLOWING_SENSOR, STIFF_OBSERVER, TINY_TAU
 
@@ -85,6 +86,11 @@ class TestGenerate:
     def test_bad_n_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "generate", "--n", "0", "--setup", "I")
         assert code == EXIT_INPUT
+
+    def test_stdout_matches_out_file(self, capsys, model_path):
+        code, out, _ = run_cli(capsys, "generate", "--n", "3", "--setup", "II")
+        assert code == EXIT_OK
+        assert out.encode("utf-8") == model_path.read_bytes()
 
     def test_unwritable_out_is_input_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.json"
@@ -242,6 +248,12 @@ class TestSweep:
         assert "unknown sensor setup ''" in err
         assert out == ""
 
+    def test_zero_submodules_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "0")
+        assert_input_error(code, err)
+        assert "submodule count must be >= 1" in err
+        assert out == ""
+
     def test_preset_prefix_with_full_enumeration(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "2", "--setups", "bimmc:I",
                                  "--full-enumeration", "--format", "json")
@@ -326,6 +338,17 @@ class TestResidual:
         first_row = out_csv.read_text().splitlines()[1].split(",")
         assert first_row[1] == "" and first_row[2] == ""
         assert first_row[3] != ""
+
+    def test_gains_with_two_faults_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_payload(_set("faults", [
+            {"signal": "f_iout", "onset": 0.01, "magnitude": 1.0},
+            {"signal": "f_icell", "onset": 0.01, "magnitude": 1.0},
+        ]))))
+        code, out, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert_input_error(code, err)
+        assert "--gains needs at most one fault injection" in err
+        assert out == ""
 
     def test_requires_out_or_gains(self, capsys, scenario_path):
         code, _, err = run_cli(capsys, "residual", "--scenario", str(scenario_path))
@@ -461,6 +484,15 @@ class TestMalformedSwitchedModel:
         assert_input_error(code, err)
         assert duplicated in err
 
+    def test_mode_letter_of_two_characters_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_switched_payload(
+            _set("template", "mode_letters", {"IB": "forward", "B": "bypass1"})
+        )))
+        code, _, err = run_cli(capsys, "analyze", "--model", str(path), "--config", "IB")
+        assert_input_error(code, err)
+        assert "mode letter 'IB' must be one character" in err
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_aggregate_name_collision_is_input_error(self, capsys, tmp_path, k):
         # A pack fault named like the k-th cell aggregate.
@@ -510,6 +542,36 @@ class TestMalformedScenario:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate, build, message", [
+        (_set("faults", 0, "signal", "f_vbat"), None, "unknown fault signal 'f_vbat'"),
+        (None, lambda: FaultStep("f_iout", math.nan, 1.0),
+         "fault onset and magnitude must be finite"),
+        (_set("dt", 0), None, "dt must be positive and finite"),
+        (_set("duration", 1e-5), None, "duration must be at least one timestep"),
+        (_set("sensors", ["cell_current", "v_bus"]), None, "unknown sensors ['v_bus']"),
+        (_set("faults", 0, "signal", "f_iout_extra"), None,
+         "f_iout_extra injection requires the extra_output_current sensor"),
+        (_set("i_out", "kind", "square"), None, "unknown current profile kind 'square'"),
+        (_set("truth_params", {"r_p": 1e-3, "c_p": 1.0, "r_o": 1e-3}), None,
+         "cell parameters missing field 'v_ocv'"),
+    ], ids=[
+        "unknown-signal", "onset-nan", "dt-zero", "duration-below-dt", "unknown-sensor",
+        "extra-fault-without-sensor", "unknown-profile-kind", "params-without-v-ocv",
+    ])
+    def test_refusal_names_its_cause(self, capsys, tmp_path, mutate, build, message):
+        # JSON numbers are checked finite before a FaultStep sees them, so a
+        # non-finite onset can only come from a directly built dataclass.
+        if build is not None:
+            with pytest.raises(InputError, match=re.escape(message)):
+                build()
+            return
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_payload(mutate)))
+        code, out, err = run_cli(capsys, "residual", "--scenario", str(path), "--gains")
+        assert_input_error(code, err)
+        assert message in err
+        assert out == ""
 
     def test_top_level_must_be_an_object(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"

@@ -6,6 +6,8 @@ from hypothesis import given
 from switchdiag import bimmc, pipeline
 from switchdiag.errors import InputError, InternalConsistencyError
 from switchdiag.pipeline import (
+    CompactIsolability,
+    SweepReport,
     analyze_configuration,
     compact,
     full_enumeration_check,
@@ -176,6 +178,10 @@ class TestSweep:
         with pytest.raises(InputError, match=r"duplicate sensor setup identifiers: \['II'\]"):
             sweep(1, ["I", "II", bimmc.SETUPS["II"]])
 
+    def test_zero_submodules_refused(self):
+        with pytest.raises(InputError, match="submodule count must be >= 1"):
+            sweep(0)
+
 
 class TestRender:
     def test_markdown_golden(self, sweep3):
@@ -210,6 +216,11 @@ class TestRender:
         csv_text = render_report(report, "csv")
         assert csv_text.splitlines()[0] == "fault,detectable,cell"
 
+    def test_report_csv_lists_non_detectable_faults(self):
+        # All bypassed: f_iout is not detectable and has no cell.
+        csv_text = render_report(analyze_configuration(3, "I", 0), "csv")
+        assert "f_iout,no," in csv_text.splitlines()
+
     def test_matrix_render_identity(self):
         report = IsolabilityReport(
             frozenset({"fa", "fb"}),
@@ -227,6 +238,52 @@ class TestRender:
         assert matrix.entries[idx["f_cell,3"]][idx["f_vcell,3"]]
         assert not matrix.entries[idx["f_cell,1"]][idx["f_vcell,1"]]
         assert not matrix.is_identity
+
+
+def hand_report(later: list[CompactIsolability]) -> SweepReport:
+    """Setup I swept at n = 1 + len(later): fixed k = 0 and 1, then ``later``."""
+    setup = bimmc.SETUPS["I"]
+    cells = {
+        ("I", 0): CompactIsolability(frozenset({"f_iout"}), None, (PAIR,), {}),
+        ("I", 1): CompactIsolability(frozenset(), (PAIR,), (PAIR,), {"f_iout": None}),
+    }
+    cells.update((("I", k), cell) for k, cell in enumerate(later, start=2))
+    return SweepReport(1 + len(later), (setup,), cells)
+
+
+class TestMarkdownColumnGroups:
+    """k >= 2 share one ">1 ins." column group only where every k agrees."""
+
+    SAME = CompactIsolability(frozenset(), (PAIR,), (PAIR,), {"f_iout": None})
+    ALL_INSERTED = CompactIsolability(frozenset(), (PAIR,), None, {"f_iout": None})
+
+    @staticmethod
+    def header(report):
+        return render(report, "md").splitlines()[0].strip("| ").split(" | ")
+
+    @pytest.mark.parametrize("k3", [
+        CompactIsolability(frozenset(), (), None, {"f_iout": None}),
+        CompactIsolability(frozenset({"f_iout"}), (PAIR,), None, {"f_iout": None}),
+        CompactIsolability(frozenset(), (PAIR,), None, {"f_iout": "insertion"}),
+    ], ids=["insertion", "non-detectable", "pack-membership"])
+    def test_differing_cells_get_a_column_group_each(self, k3):
+        assert self.header(hand_report([self.SAME, k3]))[4:] == [
+            "non-I B (0 ins.)", "non-I B (1 ins.)", "non-I I (1 ins.)",
+            "non-I B (2 ins.)", "non-I I (2 ins.)", "non-I B (3 ins.)", "non-I I (3 ins.)",
+        ]
+
+    def test_differing_bypass_splits(self):
+        other = CompactIsolability(frozenset(), (PAIR,), (), {"f_iout": None})
+        header = self.header(hand_report([self.SAME, other, self.ALL_INSERTED]))
+        assert "non-I B (4 ins.)" in header
+        assert "non-I B (>1 ins.)" not in header
+
+    def test_cells_differing_only_where_bypass_is_absent_merge(self):
+        report = hand_report([self.SAME, self.ALL_INSERTED])
+        assert self.header(report)[-2:] == ["non-I B (>1 ins.)", "non-I I (>1 ins.)"]
+        # The merged bypass column shows the k = 2 sets, not k = 3's "n/a".
+        row = render(report, "md").splitlines()[2]
+        assert row.endswith("| {f_cell,k, f_vcell,k} | {f_cell,k, f_vcell,k} |")
 
 
 def reference_render_matrix(matrix: IsolabilityMatrix) -> str:

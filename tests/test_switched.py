@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import threading
 
@@ -155,6 +156,12 @@ def assert_same_model(got, want):
     want_adj, want_rev = want._index
     assert got_adj == want_adj
     assert got_rev == want_rev
+    # Both sides derive rev the same way, so check it against adj directly:
+    # every (unknown, equation) edge once, in ascending order.
+    assert len(got_rev) == len(got.unknowns)
+    assert [(j, i) for j, column in enumerate(got_rev) for i in column] == sorted(
+        (j, i) for i, row in enumerate(got_adj) for j in row
+    )
 
 
 def assert_reguard_matches(switched, configs):
@@ -386,6 +393,14 @@ class TestParseConfiguration:
     def test_wrong_length(self, fb_switched):
         with pytest.raises(InputError, match="entries"):
             parse_configuration(fb_switched.template, "IB", 3)
+
+    @pytest.mark.parametrize("letter", ["IB", "", ",", " "],
+                             ids=["two-characters", "empty", "comma", "blank"])
+    def test_letter_that_cannot_be_parsed_is_refused(self, letter):
+        # parse_configuration could never match these: it reads one character
+        # at a time, splits on commas and strips whitespace.
+        with pytest.raises(InputError, match=f"mode letter {re.escape(repr(letter))} must be"):
+            _one_equation_template(("forward", "bypass1"), {letter: "forward", "B": "bypass1"})
 
 
 def rename_report(report, permutation):
