@@ -35,10 +35,8 @@ from .switched import (
 )
 
 __all__ = [
-    "BYPASS_MODES",
     "CELL_FAULTS",
     "FAULT_AGGREGATION",
-    "INSERTION_MODES",
     "MODES",
     "MODE_LETTERS",
     "NOMINAL_CELL",
@@ -56,8 +54,6 @@ __all__ = [
 #: Full-bridge switch modes; forward/backward insert the cell with opposite
 #: polarity, the two bypass states disconnect it.
 MODES = ("forward", "backward", "bypass1", "bypass2")
-INSERTION_MODES = frozenset({"forward", "backward"})
-BYPASS_MODES = frozenset({"bypass1", "bypass2"})
 MODE_LETTERS = {"I": "forward", "B": "bypass1"}
 
 LOCAL_UNKNOWNS = ("v_p", "dv_p", "i_cell", "v_cell", "v_sm", "R_o", "C_p", "R_p", "E_m")

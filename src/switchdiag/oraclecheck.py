@@ -6,8 +6,10 @@ redundant exactly when removing it keeps the maximum matching size, with
 the matching size computed by scipy's Hopcroft-Karp rather than the
 package's own matching code).  Isolability partitions are checked against
 a brute-force pairwise evaluation of the removal definition, and
-:func:`definitional_dm_decompose` recomputes fine blocks by literal removal
-as the reference for :func:`~switchdiag.structural.dm_decompose`.
+:func:`definitional_dm_decompose`, the reference for
+:func:`~switchdiag.structural.dm_decompose`, shares no code with it: it
+takes one scipy matching and breadth-first searches of the alternating
+digraph for the coarse parts, and recomputes fine blocks by literal removal.
 :func:`is_isolable` and :func:`isolability_matrix` give the same pairwise
 removal route on the package's own matching, for tests that compare it
 with the fine-block partition.
@@ -18,17 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
 from .errors import InputError, InternalConsistencyError, OracleBoundError
 from .structural import (
     DmDecomposition,
     IsolabilityMatrix,
     IsolabilityReport,
+    PartPair,
     StructuralModel,
     _canonical_partition,
-    _coarse_parts,
-    _named_parts,
     detectability_set,
     dm_decompose,
     isolability_partition,
@@ -105,28 +106,61 @@ def isolability_matrix(model: StructuralModel) -> IsolabilityMatrix:
     return IsolabilityMatrix(order, entries)
 
 
-def _oracle_matching_size(model: StructuralModel) -> int:
-    """Maximum matching cardinality via scipy's Hopcroft-Karp.
-
-    Kept deliberately separate from the hand-written augmenting-path code
-    so the oracle exercises an independent implementation.
-    """
-    if not model.equations or not model.unknowns:
-        return 0
+def _biadjacency(model: StructuralModel) -> csr_matrix:
+    # Equations x unknowns incidence, rows and columns in declaration order.
     var_index = {x: j for j, x in enumerate(model.unknowns)}
     indptr = np.zeros(len(model.equations) + 1, dtype=np.int32)
     cols: list[int] = []
     for i, (_, row_unknowns, _) in enumerate(model.rows):
         cols.extend(sorted(var_index[x] for x in row_unknowns))
         indptr[i + 1] = len(cols)
-    if not cols:
-        return 0
-    graph = csr_matrix(
+    return csr_matrix(
         (np.ones(len(cols), dtype=np.int8), np.asarray(cols, dtype=np.int32), indptr),
         shape=(len(model.equations), len(model.unknowns)),
     )
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return int((match != -1).sum())
+
+
+def _oracle_matching_size(model: StructuralModel) -> int:
+    """Maximum matching cardinality via scipy's Hopcroft-Karp.
+
+    Kept deliberately separate from the hand-written augmenting-path code
+    so the oracle exercises an independent implementation.
+    """
+    return int((maximum_bipartite_matching(_biadjacency(model), perm_type="column") >= 0).sum())
+
+
+def _over_rows(graph: csr_matrix) -> np.ndarray:
+    # Flags of the rows in the overdetermined part, by scipy alone: the rows
+    # a breadth-first search reaches in the alternating digraph of a
+    # Hopcroft-Karp matching, with an edge r -> (the row matched to c) for
+    # each entry (r, c), from a root joined to every exposed row.  An exposed
+    # column leads back to the root, which is already visited.  The parts do
+    # not depend on the matching, so applied to the transpose, with a
+    # matching of its own, it gives the columns of the underdetermined part.
+    rows, cols = graph.shape
+    row_match = maximum_bipartite_matching(graph, perm_type="column")
+    col_match = np.full(cols, rows, dtype=np.int32)
+    matched = np.flatnonzero(row_match >= 0)
+    col_match[row_match[matched]] = matched
+    exposed = np.flatnonzero(row_match < 0)
+    digraph = csr_matrix(
+        (
+            np.ones(graph.nnz + len(exposed)),
+            np.concatenate([col_match[graph.indices], exposed]),
+            np.append(graph.indptr, graph.nnz + len(exposed)),
+        ),
+        shape=(rows + 1, rows + 1),
+    )
+    reached = np.zeros(rows + 1, dtype=bool)
+    reached[breadth_first_order(digraph, rows, return_predecessors=False)] = True
+    return reached[:rows]
+
+
+def _columns_of(graph: csr_matrix, rows: np.ndarray) -> np.ndarray:
+    # Flags of the columns with an entry in a flagged row.
+    flags = np.zeros(graph.shape[1], dtype=bool)
+    flags[graph[rows].indices] = True
+    return flags
 
 
 def oracle_plus_membership(
@@ -150,26 +184,50 @@ def oracle_plus_membership(
 
 
 def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
-    """Reference DM decomposition with fine blocks taken from the definition.
+    """Reference DM decomposition that shares no code with the structural core.
 
-    Each fine block is found by re-decomposing the model with one
-    overdetermined equation removed: all equations the removal expels share
-    the removed equation's block.  Costs one model rebuild and one fresh
-    matching per block; test use only.
+    Everything comes from scipy: the coarse parts from a Hopcroft-Karp
+    matching and breadth-first searches of the alternating digraph, and
+    each fine block by literal removal, as the overdetermined equations
+    that removing one of them expels.  Costs one matching and one search
+    per block; test use only.
     """
-    under, just, over_part = _named_parts(model, _coarse_parts(model))
-    over = over_part.equations
-    assigned: set[str] = set()
-    blocks: list[frozenset[str]] = []
-    for eq in sorted(over):
-        if eq in assigned:
+    graph = _biadjacency(model)
+    transpose = graph.T.tocsr()
+    over_eqs = _over_rows(graph)
+    under_vars = _over_rows(transpose)
+    over_vars = _columns_of(graph, over_eqs)
+    under_eqs = _columns_of(transpose, under_vars)
+    if (over_eqs & under_eqs).any() or (over_vars & under_vars).any():
+        raise InternalConsistencyError("reference DM parts overlap")
+
+    def part(eq_flags: np.ndarray, var_flags: np.ndarray) -> PartPair:
+        return PartPair(
+            frozenset(eq for eq, flag in zip(model.equations, eq_flags) if flag),
+            frozenset(x for x, flag in zip(model.unknowns, var_flags) if flag),
+        )
+
+    block_of = np.full(len(model.equations), -1)
+    for i in np.flatnonzero(over_eqs):
+        if block_of[i] >= 0:
             continue
-        block = over - plus_part(remove_equation(model, eq))
-        if block & assigned or eq not in block:
+        keep = np.arange(len(model.equations)) != i
+        stays = np.zeros(len(model.equations), dtype=bool)
+        stays[keep] = _over_rows(graph[keep])
+        block = over_eqs & ~stays
+        if (block_of[block] >= 0).any():
             raise InternalConsistencyError("fine blocks do not form a partition")
-        assigned |= block
-        blocks.append(block)
-    return DmDecomposition(under, just, over_part, _canonical_partition(blocks))
+        block_of[block] = i
+    blocks: dict[int, list[str]] = {}
+    for eq, block in zip(model.equations, block_of):
+        if block >= 0:
+            blocks.setdefault(block, []).append(eq)
+    return DmDecomposition(
+        part(under_eqs, under_vars),
+        part(~(over_eqs | under_eqs), ~(over_vars | under_vars)),
+        part(over_eqs, over_vars),
+        _canonical_partition(blocks.values()),
+    )
 
 
 def oracle_partition(model: StructuralModel) -> IsolabilityReport:

@@ -12,7 +12,8 @@ induce.
 
 Everything follows from one maximum matching.  The coarse parts are two
 depth-first alternating sweeps, one from the exposed equations and one from
-the exposed unknowns.  The fine blocks come from the dominator tree of the
+the exposed unknowns; the matching's augmenting-path searches are the same
+sweep, stopped where it meets an exposed unknown.  The fine blocks come from the dominator tree of the
 alternating digraph over the overdetermined equations, rooted at a
 super-source joined to every exposed equation: two equations share a block
 exactly when one equation dominates both, so the blocks are the subtrees
@@ -243,22 +244,19 @@ class IsolabilityMatrix:
         )
 
 
-def _augmenting_search(
-    adj: list[list[int]],
-    eq_match: list[int],
-    var_match: list[int],
-    seen: list[int],
-    root: int,
-    stamp: int,
-) -> bool:
-    # Depth-first search for an augmenting path from the exposed equation
-    # ``root``, with an explicit stack so path length is not bounded by the
-    # interpreter's recursion limit.  ``seen[x] == stamp`` marks unknowns
-    # visited since the matching last changed.  A path found is flipped in
-    # place and True returned.
-    path_eqs = [root]
-    path_vars: list[int] = []
-    frames = [iter(adj[root])]
+def _sweep(
+    adj: list[list[int]], back: list[int], start: int, seen: list[int], stamp: int, post: list[int]
+) -> list[int] | None:
+    # Depth-first alternating sweep from the exposed vertex ``start`` of one
+    # side: an edge ``adj`` to an other-side vertex x not marked ``seen[x] ==
+    # stamp``, then x's matched edge ``back`` to the start side.  A matched
+    # vertex there is entered only through its partner, marked once, so it
+    # needs no mark.  Finished start-side vertices are appended to ``post``.
+    # On meeting an exposed x, returns the augmenting path: the start-side
+    # vertices on the stack, then x; None once all reachable is swept.  The
+    # stack is explicit, so path length is not bounded by the recursion limit.
+    path = [start]
+    frames = [iter(adj[start])]
     while frames:
         for x in frames[-1]:
             if seen[x] != stamp:
@@ -266,20 +264,14 @@ def _augmenting_search(
                 break
         else:
             frames.pop()
-            path_eqs.pop()
-            if path_vars:
-                path_vars.pop()
+            post.append(path.pop())
             continue
-        path_vars.append(x)
-        holder = var_match[x]
-        if holder < 0:
-            for eq, var in zip(path_eqs, path_vars):
-                eq_match[eq] = var
-                var_match[var] = eq
-            return True
-        path_eqs.append(holder)
-        frames.append(iter(adj[holder]))
-    return False
+        j = back[x]
+        if j < 0:
+            return path + [x]
+        path.append(j)
+        frames.append(iter(adj[j]))
+    return None
 
 
 def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
@@ -300,7 +292,14 @@ def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
     seen = [-1] * len(rev)
     stamp = 0
     for i in range(len(adj)):
-        if eq_match[i] < 0 and _augmenting_search(adj, eq_match, var_match, seen, i, stamp):
+        path = _sweep(adj, var_match, i, seen, stamp, []) if eq_match[i] < 0 else None
+        if path is not None:
+            # Each equation on the path takes the unknown its successor was
+            # entered through, its old partner; the last takes the exposed one.
+            x = path.pop()
+            for eq in reversed(path):
+                x, eq_match[eq] = eq_match[eq], x
+                var_match[eq_match[eq]] = eq
             stamp += 1
     return eq_match, var_match
 
@@ -317,35 +316,6 @@ def max_matching(model: StructuralModel) -> Matching:
     return Matching(frozenset(
         (model.equations[i], model.unknowns[x]) for i, x in enumerate(eq_match) if x >= 0
     ))
-
-
-def _reach(
-    adj: list[list[int]], back: list[int], starts: list[int]
-) -> tuple[list[int], list[bool], list[bool]]:
-    # Depth-first alternating sweep from vertices ``starts`` of one side of
-    # the graph: any edge ``adj`` to the other side, the matched edge
-    # ``back`` from there (-1 when exposed).  Returns the reached start-side
-    # vertices in postorder and the reached flags of both sides.  Starts are
-    # exposed, so no sweep reaches one from another.  The stack is explicit,
-    # so path length is not bounded by the recursion limit.
-    reached = [False] * len(adj)
-    hit = [False] * len(back)
-    post: list[int] = []
-    for start in starts:
-        reached[start] = True
-        stack = [(start, iter(adj[start]))]
-        while stack:
-            for x in stack[-1][1]:
-                if not hit[x]:
-                    hit[x] = True
-                    j = back[x]
-                    if j >= 0 and not reached[j]:
-                        reached[j] = True
-                        stack.append((j, iter(adj[j])))
-                        break
-            else:
-                post.append(stack.pop()[0])
-    return post, reached, hit
 
 
 # Coarse part codes: 2 * (reached by the over sweep) + (reached by the
@@ -369,15 +339,26 @@ def _coarse_parts(model: StructuralModel) -> _Coarse:
 
     # Overdetermined part: everything alternating-reachable from equations
     # left exposed by a maximum matching.  Underdetermined part: the dual
-    # sweep from exposed unknowns.
-    exposed_eqs = [i for i, x in enumerate(eq_match) if x < 0]
-    post, over_eqs, over_vars = _reach(adj, var_match, exposed_eqs)
-    _, under_vars, under_eqs = _reach(rev, eq_match, [x for x, i in enumerate(var_match) if i < 0])
-    eq_part = [2 * o + u for o, u in zip(over_eqs, under_eqs)]
-    var_part = [2 * o + u for o, u in zip(over_vars, under_vars)]
-
-    # A maximum matching admits no augmenting path, so the two sweeps
-    # cannot meet.
+    # sweep from exposed unknowns.  Each sweep's marks, shared by its starts,
+    # are its code in the other side's part list; the start sides' codes are
+    # added only once both sweeps are done.
+    eq_part = [_JUST] * len(adj)
+    var_part = [_JUST] * len(rev)
+    post: list[int] = []
+    under_post: list[int] = []
+    for side, match, back, marks, code, done in (
+        (adj, eq_match, var_match, var_part, _OVER, post),
+        (rev, var_match, eq_match, eq_part, _UNDER, under_post),
+    ):
+        for v, partner in enumerate(match):
+            # A maximum matching admits no augmenting path.
+            if partner < 0 and _sweep(side, back, v, marks, code, done) is not None:
+                raise InternalConsistencyError("DM sweep met an exposed vertex; matching not maximum")
+    for i in post:
+        eq_part[i] += _OVER
+    for x in under_post:
+        var_part[x] += _UNDER
+    # Nor can the two sweeps meet.
     if _MET in eq_part or _MET in var_part:
         raise InternalConsistencyError("DM sweeps overlap; matching was not maximum")
     if eq_part.count(_JUST) != var_part.count(_JUST):

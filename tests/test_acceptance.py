@@ -176,7 +176,7 @@ def test_criterion_5_reduction_soundness():
         raw_results = set()
         for modes in itertools.product(bimmc.MODES, repeat=3):
             config = Configuration(modes)
-            k = sum(1 for m in modes if m in bimmc.INSERTION_MODES)
+            k = sum(1 for m in modes if m in classes[0])
             result = tuple(analyzed(s, config) for s in bimmc.SETUPS)
             assert result == reduced_results[k], (modes, k)
             raw_results.add(result)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from switchdiag import bimmc
+from switchdiag import bimmc, structural
 from switchdiag.errors import InputError, InternalConsistencyError, OracleBoundError
 from switchdiag.oraclecheck import (
     _oracle_matching_size,
@@ -293,6 +293,19 @@ class TestAgainstDefinitionalReference:
         assert dm == reference
         assert isolability_partition(model) == partition_from_decomposition(model, reference)
 
+    @pytest.mark.parametrize("setup", bimmc.SETUPS)
+    def test_random_configurations_at_n64(self, setup):
+        # The reference shares no code with the core, so a fault in the
+        # matching or the sweeps cannot sit on both sides of the comparison.
+        switched, _ = bimmc.generate(64, setup)
+        rng = random.Random(f"n64-{setup}")
+        for index in range(3):
+            config = Configuration(tuple(rng.choice(bimmc.MODES) for _ in range(64)))
+            model = instantiate(switched, config)
+            reference = definitional_dm_decompose(model)
+            assert dm_decompose(model) == reference, index
+            assert isolability_partition(model) == partition_from_decomposition(model, reference)
+
 
 class TestLongAugmentingPaths:
     def test_chain_matches_without_recursion_limit(self):
@@ -317,6 +330,41 @@ class TestLongAugmentingPaths:
         assert dm.under.equations == frozenset(model.equations)
         assert dm.under.unknowns == frozenset(model.unknowns)
         assert len(dm.under.unknowns) == 3001
+
+    def test_many_augmentations(self):
+        # The greedy pass matches each a_i to x_i and leaves every b_i
+        # exposed, so the matching makes 2 * 10^4 augmentations, each from
+        # b_i through x_i and a_i to y_i.
+        pairs = 20_000
+        incidence = {}
+        for i in range(pairs):
+            incidence[f"a{i}"] = {f"x{i}", f"y{i}"}
+            incidence[f"b{i}"] = {f"x{i}"}
+        model = model_of(incidence)
+        assert max_matching(model).size == 2 * pairs == _oracle_matching_size(model)
+        dm = dm_decompose(model)
+        assert dm.just.equations == frozenset(model.equations)
+        assert dm.just.unknowns == frozenset(model.unknowns)
+
+
+class TestInternalConsistency:
+    def test_non_maximum_matching_is_refused(self, monkeypatch):
+        # Dropping one pair leaves its equation and unknown exposed and
+        # adjacent: an augmenting path the over sweep must meet.
+        matching = structural._matching
+
+        def drop_one_pair(model):
+            eq_match, var_match = matching(model)
+            x = eq_match[0]
+            eq_match[0] = var_match[x] = -1
+            return eq_match, var_match
+
+        model = model_of({"e1": {"x1"}, "e2": {"x1", "x2"}, "e3": {"x2"}})
+        monkeypatch.setattr(structural, "_matching", drop_one_pair)
+        with pytest.raises(InternalConsistencyError, match="matching not maximum"):
+            dm_decompose(model)
+        with pytest.raises(InternalConsistencyError, match="matching not maximum"):
+            isolability_partition(model)
 
 
 class TestDetectability:
