@@ -11,7 +11,8 @@ Core layers:
 * :mod:`switchdiag.pipeline` -- the setups x configurations sweep with
   compact, table-style reporting.
 * :mod:`switchdiag.residuals` -- numerical residual simulation on a
-  single-submodule cell plant.
+  single-submodule cell plant.  It loads numpy, so its names here are
+  imported on first use and the structural layers start without it.
 """
 
 from .bimmc import (
@@ -27,7 +28,6 @@ from .errors import (
     InternalConsistencyError,
     NonStationaryError,
     OracleBoundError,
-    ResidualModeError,
     SimulationDivergedError,
 )
 from .pipeline import (
@@ -38,17 +38,6 @@ from .pipeline import (
     render,
     render_report,
     sweep,
-)
-from .residuals import (
-    FaultStep,
-    PlantSignals,
-    ResidualTrace,
-    SimScenario,
-    residual_cell_current,
-    residual_redundant_output,
-    residual_setup1,
-    simulate_plant,
-    steady_state_gain,
 )
 from .structural import (
     DmDecomposition,
@@ -76,3 +65,16 @@ from .switched import (
 )
 
 __version__ = "0.1.0"
+
+_RESIDUAL_NAMES = frozenset({
+    "FaultStep", "PlantSignals", "ResidualTrace", "SimScenario", "residual_cell_current",
+    "residual_redundant_output", "residual_setup1", "simulate_plant", "steady_state_gain",
+})
+
+
+def __getattr__(name: str):
+    if name in _RESIDUAL_NAMES:
+        from . import residuals
+
+        return getattr(residuals, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import bimmc, modelio, pipeline, residuals
+from . import bimmc, modelio, pipeline
 from .errors import InputError, InternalConsistencyError
 from .structural import dm_decompose, isolability_partition, partition_matrix
 from .switched import instantiate, parse_configuration
@@ -119,6 +119,10 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    # Imported here, not at module level: residuals loads numpy, which no
+    # structural command needs.
+    from . import residuals
+
     if not args.out and not args.gains:
         raise InputError("nothing to do: pass --out and/or --gains")
     scenario = residuals.scenario_from_dict(modelio.read_json_object(args.scenario, "scenario"))

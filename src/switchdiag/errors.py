@@ -13,10 +13,6 @@ class OracleBoundError(InputError):
     """Model exceeds the configured size bound of the exhaustive test oracle."""
 
 
-class ResidualModeError(InputError):
-    """A residual was requested in an operating mode where it is not valid."""
-
-
 class NonStationaryError(InputError):
     """Trace tail varies too much for a steady-state estimate."""
 

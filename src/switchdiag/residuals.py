@@ -2,16 +2,13 @@
 
 The plant integrates the one-RC-link cell model with truth parameters and
 emits sensor signals with injected step faults.  Three residuals compare
-measured against predicted behavior:
+measured against predicted behavior, each by one formula in every mode.
+With the mode sign ``s`` (1 forward, -1 backward, 0 in bypass),
+``s * y_iout`` is the cell current the output-current sensor implies:
 
-* ``setup1``: an observer rebuilds the RC-link voltage from the measured
-  output current and predicts the cell voltage; only valid with the cell
-  inserted (forward or backward), since a bypassed cell carries no output
-  current information.
-* ``cell_current``: output-current vs cell-current sensor comparison, unit
-  fault gain, insertion modes only.
-* ``redundant_output``: two output-current sensors compared; valid in
-  every mode, including bypass.
+* ``setup1``: an observer driven by ``s * y_iout`` predicts the cell voltage.
+* ``cell_current``: ``r = s * y_iout - y_icell``.
+* ``redundant_output``: ``r = y_iout - y_iout_extra``.
 
 The reported steady-state gain of the ``setup1`` residual is the full
 stationary response (charge-transfer plus ohmic resistance); the ohmic
@@ -28,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bimmc import NOMINAL_CELL, CellParameters
-from .errors import (
-    InputError,
-    NonStationaryError,
-    ResidualModeError,
-    SimulationDivergedError,
-)
+from .errors import InputError, NonStationaryError, SimulationDivergedError
 from .modelio import _names, _number, _object, _objects, output_file
 
 __all__ = [
@@ -74,6 +66,11 @@ STATIONARY_REL_TOL = 1e-3
 ZERO_TOL = 1e-9
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _MODE_SIGNS:
+        raise InputError(f"unknown mode {mode!r}; expected one of {sorted(_MODE_SIGNS)}")
+
+
 @dataclass(frozen=True)
 class FaultStep:
     """Step fault on a sensor signal: 0 before onset, ``magnitude`` after."""
@@ -106,10 +103,7 @@ class SimScenario:
     sensors: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.mode not in _MODE_SIGNS:
-            raise InputError(
-                f"unknown mode {self.mode!r}; expected one of {sorted(_MODE_SIGNS)}"
-            )
+        _check_mode(self.mode)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InputError("dt must be positive and finite")
         if not self.duration >= self.dt:
@@ -148,6 +142,9 @@ class PlantSignals:
     y_iout: np.ndarray
     y_icell: np.ndarray | None = None
     y_iout_extra: np.ndarray | None = None
+
+    def __post_init__(self):
+        _check_mode(self.mode)
 
     @property
     def dt(self) -> float:
@@ -258,27 +255,16 @@ def simulate_plant(scenario: SimScenario) -> PlantSignals:
     )
 
 
-def _insertion_sign(mode: str, residual: str) -> float:
-    if mode == MODE_BYPASS:
-        raise ResidualModeError(
-            f"residual {residual!r} is not valid in bypass mode: a bypassed cell "
-            "carries no output-current information"
-        )
-    if mode not in _MODE_SIGNS:
-        raise InputError(f"unknown mode {mode!r}")
-    return _MODE_SIGNS[mode]
-
-
 @_overflow_checked
 def residual_setup1(signals: PlantSignals, nominal: CellParameters) -> ResidualTrace:
-    """Observer residual on cell voltage, driven by the measured output current.
+    """Observer residual on cell voltage, driven by ``s * y_iout``.
 
-    The signals' mode selects the residual's sign convention and must be an
-    insertion mode.  The observer state is initialized from the first
+    ``s`` is the signals' mode sign, so in bypass the observer only tracks
+    the RC-link decay.  The observer state is initialized from the first
     measurement, so a fault-free run gives a residual that is zero up to
     roundoff regardless of the initial RC-link voltage.
     """
-    sign = _insertion_sign(signals.mode, "setup1")
+    sign = _MODE_SIGNS[signals.mode]
     v0 = signals.y_vcell[0] - sign * nominal.r_o * signals.y_iout[0] - nominal.v_ocv
     v_hat = _rc_link(sign * signals.y_iout, v0, nominal, signals.dt)
     r = signals.y_vcell - v_hat - sign * nominal.r_o * signals.y_iout - nominal.v_ocv
@@ -287,11 +273,13 @@ def residual_setup1(signals: PlantSignals, nominal: CellParameters) -> ResidualT
 
 @_overflow_checked
 def residual_cell_current(signals: PlantSignals) -> ResidualTrace:
-    """Output-current vs cell-current comparison; unit gain from either fault."""
+    """``r = s * y_iout - y_icell`` with the mode sign ``s``.
+
+    The gain is ``s`` from ``f_iout`` and -1 from ``f_icell`` in every mode.
+    """
     if signals.y_icell is None:
         raise InputError("cell-current residual requires the cell_current sensor")
-    sign = _insertion_sign(signals.mode, "cell_current")
-    r = signals.y_iout - sign * signals.y_icell
+    r = _MODE_SIGNS[signals.mode] * signals.y_iout - signals.y_icell
     return ResidualTrace(signals.times, r, "cell_current")
 
 
@@ -404,16 +392,11 @@ def scenario_from_dict(data: dict) -> SimScenario:
 def applicable_residuals(
     scenario: SimScenario, signals: PlantSignals
 ) -> dict[str, ResidualTrace | None]:
-    """Evaluate every residual the scenario's sensors and mode support."""
-    insertion = scenario.mode != MODE_BYPASS
+    """Evaluate every residual whose sensors the scenario has."""
     return {
-        "setup1": (
-            residual_setup1(signals, scenario.nominal) if insertion else None
-        ),
+        "setup1": residual_setup1(signals, scenario.nominal),
         "cell_current": (
-            residual_cell_current(signals)
-            if insertion and "cell_current" in scenario.sensors
-            else None
+            residual_cell_current(signals) if "cell_current" in scenario.sensors else None
         ),
         "redundant_output": (
             residual_redundant_output(signals)
@@ -428,7 +411,7 @@ def write_traces_csv(
     times: np.ndarray,
     traces: dict[str, ResidualTrace | None],
 ) -> None:
-    """CSV with one row per sample; absent residuals leave empty cells."""
+    """CSV with one row per sample; a residual without its sensor leaves empty cells."""
     import csv
 
     columns = [("r_setup1_V", "setup1"), ("r_cellcurrent_A", "cell_current"),

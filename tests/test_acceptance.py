@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from switchdiag import bimmc
-from switchdiag.errors import ResidualModeError
 from switchdiag.oraclecheck import run_oracle_check
 from switchdiag.pipeline import analyze_configuration, canonical_report, compact, sweep
 from switchdiag.residuals import (
     MODE_BYPASS,
     MODE_FORWARD,
+    ZERO_TOL,
     FaultStep,
     SimScenario,
+    applicable_residuals,
     residual_cell_current,
     residual_redundant_output,
     residual_setup1,
@@ -251,13 +252,15 @@ def test_criterion_7_residual_gains():
 
 
 def test_criterion_8_structural_numerical_consistency():
-    with criterion(8, "bypass: residual refused and f_iout non-detectable, one scenario", 1.0):
+    with criterion(8, "bypass: every residual gain 0 and f_iout non-detectable", 1.0):
         scenario = SimScenario(
             mode=MODE_BYPASS, faults=(FaultStep("f_iout", 0.0, 1.0),)
         )
-        signals = simulate_plant(scenario)
-        with pytest.raises(ResidualModeError):
-            residual_setup1(signals, scenario.nominal)
+        traces = applicable_residuals(scenario, simulate_plant(scenario))
+        applicable = [trace for trace in traces.values() if trace is not None]
+        assert [trace.kind for trace in applicable] == ["setup1"]
+        for trace in applicable:
+            assert abs(steady_state_gain(trace, 1.0)) <= ZERO_TOL
 
         # Same operating point structurally: every submodule bypassed.
         report = analyze_configuration(3, "I", 0)

@@ -58,6 +58,31 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_structural_command_loads_no_numpy(tmp_path, capsys):
+    # Only the residual command needs numpy; analyze must start without it.
+    path = tmp_path / "n4.json"
+    code, _, _ = run_cli(capsys, "generate", "--n", "4", "--setup", "IV", "--out", str(path))
+    assert code == EXIT_OK
+    src = str(Path(switchdiag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, switchdiag.cli; "
+             "code = switchdiag.cli.main(['analyze', '--model', sys.argv[1], '--config', 'IIBB']); "
+             "print(code, 'numpy' in sys.modules)")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def test_package_serves_residual_names():
+    from switchdiag import simulate_plant
+
+    assert simulate_plant is switchdiag.residuals.simulate_plant
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        switchdiag.no_such_name
+
+
 @pytest.fixture
 def model_path(tmp_path, capsys):
     path = tmp_path / "model.json"
@@ -324,7 +349,7 @@ class TestResidual:
         assert gains["gains"]["cell_current"] == pytest.approx(1.0)
         assert abs(gains["gains"]["setup1"]) == pytest.approx(1.892e-3, rel=0.01)
 
-    def test_bypass_scenario_leaves_setup1_column_empty(self, capsys, tmp_path):
+    def test_bypass_scenario_fills_setup1_column(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({
             "mode": "bypass",
@@ -336,7 +361,8 @@ class TestResidual:
                              "--out", str(out_csv))
         assert code == EXIT_OK
         first_row = out_csv.read_text().splitlines()[1].split(",")
-        assert first_row[1] == "" and first_row[2] == ""
+        # Only the cell-current column, whose sensor is absent, stays empty.
+        assert first_row[1] != "" and first_row[2] == ""
         assert first_row[3] != ""
 
     def test_gains_with_two_faults_is_input_error(self, capsys, tmp_path):

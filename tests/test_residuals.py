@@ -1,23 +1,21 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from switchdiag import residuals
+from switchdiag import bimmc, residuals
 from switchdiag.bimmc import NOMINAL_CELL, CellParameters
-from switchdiag.errors import (
-    InputError,
-    NonStationaryError,
-    ResidualModeError,
-    SimulationDivergedError,
-)
+from switchdiag.errors import InputError, NonStationaryError, SimulationDivergedError
 from switchdiag.residuals import (
     MODE_BACKWARD,
     MODE_BYPASS,
     MODE_FORWARD,
+    ZERO_TOL,
     FaultStep,
+    PlantSignals,
     ResidualTrace,
     SimScenario,
     _rc_link,
@@ -30,6 +28,9 @@ from switchdiag.residuals import (
     steady_state_gain,
     write_traces_csv,
 )
+
+from switchdiag.structural import isolability_partition
+from switchdiag.switched import instantiate, parse_configuration
 
 from .conftest import OVERFLOWING_SENSOR
 
@@ -46,6 +47,11 @@ class TestScenarioValidation:
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             SimScenario(mode="diagonal")
+
+    def test_signals_with_unknown_mode(self):
+        times = np.arange(3) * 1e-5
+        with pytest.raises(InputError, match="unknown mode 'diagonal'"):
+            PlantSignals(times, "diagonal", v_p=times, y_vcell=times, y_iout=times)
 
     def test_onset_outside_duration(self):
         with pytest.raises(InputError):
@@ -160,11 +166,6 @@ class TestSetup1Residual:
             r = residual_setup1(signals, scenario.nominal)
             assert np.max(np.abs(r.values)) < 1e-6
 
-    def test_refuses_bypass(self):
-        scenario, signals = run(mode=MODE_BYPASS)
-        with pytest.raises(ResidualModeError):
-            residual_setup1(signals, scenario.nominal)
-
     def test_forward_step_gain_is_full_stationary_response(self):
         scenario, signals = run(faults=(FaultStep("f_iout", 0.0, 1.0),))
         r = residual_setup1(signals, scenario.nominal)
@@ -242,10 +243,78 @@ class TestCellCurrentResidual:
         with pytest.raises(InputError, match="cell_current"):
             residual_cell_current(signals)
 
-    def test_refuses_bypass(self):
-        _, signals = run(mode=MODE_BYPASS, sensors=frozenset({"cell_current"}))
-        with pytest.raises(ResidualModeError):
-            residual_cell_current(signals)
+    @pytest.mark.parametrize(
+        "mode, sign", [(MODE_FORWARD, 1.0), (MODE_BACKWARD, -1.0), (MODE_BYPASS, 0.0)]
+    )
+    def test_gains_follow_the_mode_sign(self, mode, sign):
+        # r = s * y_iout - y_icell: gain s from f_iout and -1 from f_icell.
+        for signal, want in (("f_iout", sign), ("f_icell", -1.0)):
+            _, signals = run(
+                mode=mode,
+                i_out=2.0,
+                sensors=frozenset({"cell_current"}),
+                faults=(FaultStep(signal, 0.0, 1.5),),
+            )
+            r = residual_cell_current(signals)
+            assert steady_state_gain(r, 1.5) == pytest.approx(want, abs=1e-9), signal
+
+
+class TestResidualsBackTheStructuralVerdict:
+    """Residual responses against the n=1 BIMMC model, in every switch mode.
+
+    Each case pairs a mode with its BIMMC mode and a sensor set with its
+    setup: no extra sensor is setup I, ``cell_current`` is setup III.  A
+    fault is detectable exactly when some applicable residual has a
+    non-zero gain, and two faults are isolable exactly when different sets
+    of residuals respond.  ``redundant_output`` and ``f_iout_extra`` are
+    left out: setups I-IV have no second output-current sensor.
+    """
+
+    MODES = {MODE_FORWARD: "forward", MODE_BACKWARD: "backward", MODE_BYPASS: "bypass1"}
+    SETUPS = {frozenset(): "I", frozenset({"cell_current"}): "III"}
+    FAULTS = {"f_iout": "f_iout", "f_icell": "f_icell,1"}
+
+    @staticmethod
+    def responding(mode, sensors, signal):
+        # A sine drive and a non-zero initial RC-link voltage, so the
+        # residuals are checked to be zero before the fault, not just at rest.
+        onset = 0.01
+        scenario, signals = run(
+            mode=mode,
+            duration=0.04,
+            v_p_initial=0.01,
+            i_out=lambda t: 2.0 * np.sin(2 * math.pi * 50 * t),
+            sensors=sensors,
+            faults=(FaultStep(signal, onset, 1.0),),
+        )
+        traces = applicable_residuals(scenario, signals)
+        traces = {kind: trace for kind, trace in traces.items() if trace is not None}
+        assert "redundant_output" not in traces
+        for trace in traces.values():
+            assert np.max(np.abs(trace.values[trace.times < onset])) <= ZERO_TOL
+        return {k for k, t in traces.items() if abs(steady_state_gain(t, 1.0)) > ZERO_TOL}
+
+    @staticmethod
+    def cell_of(report, fault):
+        # The non-detectable faults form one more cell: no residual tells them apart.
+        cells = [*report.non_isolable_partition, report.non_detectable]
+        return next(cell for cell in cells if fault in cell)
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("sensors", list(SETUPS), ids=["I", "III"])
+    def test_detectability_and_isolability(self, mode, sensors):
+        switched, catalogue = bimmc.generate(1, self.SETUPS[sensors])
+        config = parse_configuration(switched.template, self.MODES[mode], 1)
+        report = bimmc.aggregate_report(
+            isolability_partition(instantiate(switched, config)), catalogue
+        )
+        signals = ["f_iout"] + ["f_icell"] * ("cell_current" in sensors)
+        responses = {s: self.responding(mode, sensors, s) for s in signals}
+        for signal in signals:
+            assert bool(responses[signal]) == (self.FAULTS[signal] in report.detectable), signal
+        for a, b in itertools.combinations(signals, 2):
+            isolable = self.cell_of(report, self.FAULTS[a]) != self.cell_of(report, self.FAULTS[b])
+            assert (responses[a] != responses[b]) == isolable, (a, b)
 
 
 class TestRedundantOutputResidual:
