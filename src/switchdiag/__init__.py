@@ -27,7 +27,6 @@ from .errors import (
     InputError,
     InternalConsistencyError,
     NonStationaryError,
-    OracleBoundError,
     SimulationDivergedError,
 )
 from .pipeline import (

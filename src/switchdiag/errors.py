@@ -9,10 +9,6 @@ class InternalConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not a valid analysis outcome."""
 
 
-class OracleBoundError(InputError):
-    """Model exceeds the configured size bound of the exhaustive test oracle."""
-
-
 class NonStationaryError(InputError):
     """Trace tail varies too much for a steady-state estimate."""
 

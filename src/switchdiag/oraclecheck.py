@@ -1,18 +1,18 @@
-"""Randomized cross-validation of the DM core against an independent oracle.
+"""Randomized cross-validation of the DM core against independent references.
 
-Random models are decomposed twice: by the production alternating-path
-classification and by the matching-cardinality oracle (an equation is
-redundant exactly when removing it keeps the maximum matching size, with
-the matching size computed by scipy's Hopcroft-Karp rather than the
-package's own matching code).  Isolability partitions are checked against
-a brute-force pairwise evaluation of the removal definition, and
-:func:`definitional_dm_decompose`, the reference for
-:func:`~switchdiag.structural.dm_decompose`, shares no code with it: it
-takes one scipy matching and breadth-first searches of the alternating
-digraph for the coarse parts, and recomputes fine blocks by literal removal.
-:func:`is_isolable` and :func:`isolability_matrix` give the same pairwise
-removal route on the package's own matching, for tests that compare it
-with the fine-block partition.
+Each reference builds one scipy CSR incidence matrix per model and removes
+an equation by cutting its row out of it, with no size bound and no
+analysis code shared with :mod:`~switchdiag.structural`.  Random models are
+decomposed twice: by the production alternating-path classification and
+by the matching-cardinality oracle (an equation is redundant exactly when
+removing it keeps the maximum matching size, from scipy's Hopcroft-Karp).
+Isolability partitions are checked against a brute-force pairwise
+evaluation of the removal definition on the same matching sizes.
+:func:`definitional_dm_decompose` takes one scipy matching and
+breadth-first searches of the alternating digraph for the coarse parts,
+and recomputes fine blocks by literal removal; :func:`is_isolable` and
+:func:`isolability_matrix` give the pairwise removal route on those
+searches, for tests that compare it with the fine-block partition.
 """
 
 import random
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
-from .errors import InputError, InternalConsistencyError, OracleBoundError
+from .errors import InputError, InternalConsistencyError
 from .structural import (
     DmDecomposition,
     IsolabilityMatrix,
@@ -30,10 +30,8 @@ from .structural import (
     PartPair,
     StructuralModel,
     _canonical_partition,
-    detectability_set,
     dm_decompose,
     isolability_partition,
-    plus_part,
 )
 
 __all__ = [
@@ -47,9 +45,6 @@ __all__ = [
     "remove_equation",
     "run_oracle_check",
 ]
-
-#: Largest model (by equation count) the exhaustive oracle accepts.
-DEFAULT_ORACLE_BOUND = 16
 
 
 def random_model(
@@ -84,8 +79,8 @@ def is_isolable(model: StructuralModel, fault_i: str, fault_j: str) -> bool:
     for f in (fault_i, fault_j):
         if f not in model.fault_map:
             raise InputError(f"fault {f!r} is not declared in the model")
-    reduced = remove_equation(model, model.fault_map[fault_j])
-    return model.fault_map[fault_i] in plus_part(reduced)
+    row_i, row_j = (model.equations.index(model.fault_map[f]) for f in (fault_i, fault_j))
+    return bool(_stays_over(_biadjacency(model), row_j)[row_i])
 
 
 def isolability_matrix(model: StructuralModel) -> IsolabilityMatrix:
@@ -93,16 +88,17 @@ def isolability_matrix(model: StructuralModel) -> IsolabilityMatrix:
 
     Computed by direct pairwise removal, independently of the fine-block
     partition, so the two routes can be cross-checked against each other.
+    Removing one fault's equation answers that fault's whole column.
     """
-    detectable, _ = detectability_set(model)
-    order = tuple(sorted(detectable))
-    entries = tuple(
-        tuple(
-            True if i == j else not is_isolable(model, fi, fj)
-            for j, fj in enumerate(order)
-        )
-        for i, fi in enumerate(order)
-    )
+    graph = _biadjacency(model)
+    over = _over_rows(graph)
+    row = {f: i for i, (_, _, f) in enumerate(model.rows) if f is not None and over[i]}
+    order = tuple(sorted(row))
+    rows = [row[f] for f in order]
+    # stays[j][i]: fault i stays detectable once fault j's equation is removed.
+    stays = [_stays_over(graph, j)[rows] for j in rows]
+    n = len(rows)
+    entries = tuple(tuple(i == j or not stays[j][i] for j in range(n)) for i in range(n))
     return IsolabilityMatrix(order, entries)
 
 
@@ -120,13 +116,32 @@ def _biadjacency(model: StructuralModel) -> csr_matrix:
     )
 
 
+def _cut(graph: csr_matrix, *rows: int) -> csr_matrix:
+    # ``graph`` without ``rows``: a row mask applied to the index arrays
+    # directly, cheaper per removal than scipy's fancy-indexed ``graph[mask]``.
+    keep = np.ones(graph.shape[0], dtype=bool)
+    keep[list(rows)] = False
+    lengths = np.diff(graph.indptr)
+    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int32)
+    np.cumsum(lengths[keep], out=indptr[1:])
+    indices = graph.indices[np.repeat(keep, lengths)]
+    return csr_matrix(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr),
+        shape=(len(indptr) - 1, graph.shape[1]),
+    )
+
+
+def _matching_size(graph: csr_matrix) -> int:
+    return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+
 def _oracle_matching_size(model: StructuralModel) -> int:
     """Maximum matching cardinality via scipy's Hopcroft-Karp.
 
     Kept deliberately separate from the hand-written augmenting-path code
     so the oracle exercises an independent implementation.
     """
-    return int((maximum_bipartite_matching(_biadjacency(model), perm_type="column") >= 0).sum())
+    return _matching_size(_biadjacency(model))
 
 
 def _over_rows(graph: csr_matrix) -> np.ndarray:
@@ -156,31 +171,29 @@ def _over_rows(graph: csr_matrix) -> np.ndarray:
     return reached[:rows]
 
 
+def _stays_over(graph: csr_matrix, row: int) -> np.ndarray:
+    # Overdetermined-row flags once ``row`` is removed; the removed row reads False.
+    return np.insert(_over_rows(_cut(graph, row)), row, False)
+
+
 def _columns_of(graph: csr_matrix, rows: np.ndarray) -> np.ndarray:
     # Flags of the columns with an entry in a flagged row.
     flags = np.zeros(graph.shape[1], dtype=bool)
-    flags[graph[rows].indices] = True
+    flags[graph.indices[np.repeat(rows, np.diff(graph.indptr))]] = True
     return flags
 
 
-def oracle_plus_membership(
-    model: StructuralModel, equation: str, *, bound: int = DEFAULT_ORACLE_BOUND
-) -> bool:
+def oracle_plus_membership(model: StructuralModel, equation: str) -> bool:
     """Test oracle for overdetermined-part membership.
 
     An equation lies in the overdetermined part exactly when some maximum
     matching leaves it exposed, i.e. when removing it does not reduce the
-    maximum matching cardinality.  Only intended for validating
-    :func:`dm_decompose` on small models; larger inputs are refused.
+    maximum matching cardinality.  Costs two Hopcroft-Karp matchings.
     """
-    if len(model.equations) > bound:
-        raise OracleBoundError(
-            f"oracle refuses models with more than {bound} equations "
-            f"(got {len(model.equations)})"
-        )
     if equation not in model.incidence:
         raise InputError(f"unknown equation {equation!r}")
-    return _oracle_matching_size(remove_equation(model, equation)) == _oracle_matching_size(model)
+    graph = _biadjacency(model)
+    return _matching_size(_cut(graph, model.equations.index(equation))) == _matching_size(graph)
 
 
 def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
@@ -211,10 +224,7 @@ def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
     for i in np.flatnonzero(over_eqs):
         if block_of[i] >= 0:
             continue
-        keep = np.arange(len(model.equations)) != i
-        stays = np.zeros(len(model.equations), dtype=bool)
-        stays[keep] = _over_rows(graph[keep])
-        block = over_eqs & ~stays
+        block = over_eqs & ~_stays_over(graph, i)
         if (block_of[block] >= 0).any():
             raise InternalConsistencyError("fine blocks do not form a partition")
         block_of[block] = i
@@ -233,60 +243,37 @@ def definitional_dm_decompose(model: StructuralModel) -> DmDecomposition:
 def oracle_partition(model: StructuralModel) -> IsolabilityReport:
     """Brute-force isolability: pairwise removal checked by matching sizes.
 
-    Asserts the symmetry of the non-isolable relation on detectable faults
-    and that the relation closes into a partition, then returns it.
+    Asserts that the non-isolable relation on detectable faults is
+    symmetric and that every fault's non-isolable set is shared by all its
+    members, so that the sets form a partition, then returns it.
     """
-    detectable = frozenset(
-        f for f in model.faults if oracle_plus_membership(model, model.fault_map[f])
-    )
-    non_detectable = frozenset(model.faults) - detectable
+    graph = _biadjacency(model)
+    row = {f: i for i, (_, _, f) in enumerate(model.rows) if f is not None}
+    size = _matching_size(graph)
+    # nu(M \ {e}) per fault: the fault is detectable when it equals nu(M).
+    size_without = {f: _matching_size(_cut(graph, r)) for f, r in row.items()}
+    detectable = frozenset(f for f in model.faults if size_without[f] == size)
     det = sorted(detectable)
-
-    # Cache matching sizes: nu(M \ {e}) and nu(M \ {e_i, e_j}).
-    nu_without = {
-        model.fault_map[f]: _oracle_matching_size(remove_equation(model, model.fault_map[f]))
-        for f in det
-    }
-    non_isolable: dict[tuple[str, str], bool] = {}
+    linked = {f: {f} for f in det}
     for i, fi in enumerate(det):
         for fj in det[i + 1:]:
-            ei, ej = model.fault_map[fi], model.fault_map[fj]
-            nu_pair = _oracle_matching_size(remove_equation(remove_equation(model, ei), ej))
+            size_pair = _matching_size(_cut(graph, row[fi], row[fj]))
             # fi isolable from fj iff e_i stays redundant once e_j is gone.
-            ij = not (nu_pair == nu_without[ej])
-            ji = not (nu_pair == nu_without[ei])
-            if ij != ji:
+            if (size_pair == size_without[fj]) != (size_pair == size_without[fi]):
                 raise InternalConsistencyError(
                     f"oracle non-isolability is asymmetric for ({fi}, {fj})"
                 )
-            non_isolable[(fi, fj)] = ij
-
-    parent = {f: f for f in det}
-
-    def find(f: str) -> str:
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    for (fi, fj), linked in non_isolable.items():
-        if linked:
-            parent[find(fi)] = find(fj)
-
-    cells: dict[str, set[str]] = {}
-    for f in det:
-        cells.setdefault(find(f), set()).add(f)
-    # The pairwise relation must already be transitive, or it is no partition.
-    for cell in cells.values():
-        ordered = sorted(cell)
-        for i, fi in enumerate(ordered):
-            for fj in ordered[i + 1:]:
-                if not non_isolable[(fi, fj)]:
-                    raise InternalConsistencyError(
-                        f"oracle non-isolability is not transitive at ({fi}, {fj})"
-                    )
-    partition = _canonical_partition(cells.values())
-    return IsolabilityReport(detectable, partition, non_detectable)
+            if size_pair != size_without[fj]:
+                linked[fi].add(fj)
+                linked[fj].add(fi)
+    for fi in det:
+        for fj in sorted(linked[fi]):
+            if linked[fj] != linked[fi]:
+                raise InternalConsistencyError(
+                    f"oracle non-isolability is not transitive at ({fi}, {fj})"
+                )
+    partition = _canonical_partition({frozenset(cell) for cell in linked.values()})
+    return IsolabilityReport(detectable, partition, frozenset(model.faults) - detectable)
 
 
 @dataclass
@@ -318,15 +305,9 @@ def run_oracle_check(count: int, seed: int) -> OracleCheckResult:
                     f"model {index}: redundancy of {eq} disagrees with the oracle"
                 )
         expected = oracle_partition(model)
-        result.pairs_checked += (
-            len(expected.detectable) * (len(expected.detectable) - 1) // 2
-        )
-        actual = isolability_partition(model)
-        if (actual.detectable, actual.non_isolable_partition, actual.non_detectable) != (
-            expected.detectable,
-            expected.non_isolable_partition,
-            expected.non_detectable,
-        ):
+        detectable = len(expected.detectable)
+        result.pairs_checked += detectable * (detectable - 1) // 2
+        if isolability_partition(model) != expected:
             result.failures.append(
                 f"model {index}: isolability partition disagrees with pairwise brute force"
             )

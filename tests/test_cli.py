@@ -12,10 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import switchdiag
-from switchdiag import bimmc, modelio, pipeline
+from switchdiag import bimmc, modelio, oraclecheck, pipeline
 from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from switchdiag.errors import InputError, InternalConsistencyError
 from switchdiag.residuals import MAX_STEPS, FaultStep
+from switchdiag.structural import IsolabilityReport
 
 from .conftest import OVERFLOWING_SENSOR, STIFF_OBSERVER, TINY_TAU
 
@@ -325,6 +326,19 @@ class TestOracleCheck:
         assert_input_error(code, err)
         assert out == ""
 
+    def test_disagreement_is_internal_error(self, capsys, monkeypatch):
+        # A core that calls every fault non-detectable contradicts the oracle.
+        def blind(model):
+            return IsolabilityReport(frozenset(), (), frozenset(model.faults))
+
+        monkeypatch.setattr(oraclecheck, "isolability_partition", blind)
+        code, out, err = run_cli(capsys, "oracle-check", "--seed", "3", "--count", "25")
+        assert code == EXIT_INTERNAL
+        assert "25 models" in out
+        assert "DISAGREEMENT: model" in err
+        assert re.search(r"^internal consistency error: \d+ oracle disagreements \(seed 3\)$",
+                         err, re.MULTILINE)
+
 
 class TestResidual:
     @pytest.fixture
@@ -509,6 +523,35 @@ class TestMalformedSwitchedModel:
         code, _, err = run_cli(capsys, "analyze", "--model", str(path), "--config", "IB")
         assert_input_error(code, err)
         assert duplicated in err
+
+    @pytest.mark.parametrize("mutate, config, message", [
+        (_set("template", "mode_letters", "B", "sideways"), "IB",
+         "mode letter 'B' maps to unknown mode 'sideways'"),
+        (_set("shared_unknowns", ["v_out", "i_out", "v_p"]), "IB",
+         "shared unknowns collide with template locals: ['v_p']"),
+        (_set("template", "equations", 2, "unknowns", ["dv_p", "zz"]), "IB",
+         "template equation 'e3' references undeclared unknowns ['zz']"),
+        (_set("global_equations", 0, "unknowns", ["v_out", "v_p"]), "IB",
+         "global equation 'e1,0' must use shared unknowns only"),
+        (_set("global_equations", 0, "per_instance", ["i_out"]), "IB",
+         "global equation 'e1,0' per-instance unknowns must be template locals"),
+        (_set("fault_aggregation", "f_other", ["f_Ro"]), "IB",
+         "aggregation cells must be disjoint"),
+        (_set("template", "equations", 0, "id", 5), "IB",
+         'template equation "id" must be a string'),
+        (lambda data: None, "forward,sideways", "unknown mode name 'sideways'"),
+    ], ids=[
+        "letter-to-unknown-mode", "shared-collides-with-local", "template-undeclared-unknown",
+        "global-non-shared-unknown", "per-instance-not-local", "fault-in-two-aggregates",
+        "equation-id-number", "unknown-mode-name",
+    ])
+    def test_refusal_names_its_cause(self, capsys, tmp_path, mutate, config, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_switched_payload(mutate)))
+        code, out, err = run_cli(capsys, "analyze", "--model", str(path), "--config", config)
+        assert_input_error(code, err)
+        assert message in err
+        assert out == ""
 
     def test_mode_letter_of_two_characters_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "model.json"

@@ -206,6 +206,8 @@ class TestRender:
     def test_unknown_format_rejected(self, sweep3):
         with pytest.raises(InputError):
             render(sweep3, "xml")
+        with pytest.raises(InputError, match="unknown render format 'xml'"):
+            render_report(analyze_configuration(2, "I", 1), "xml")
 
     def test_report_render_formats(self):
         report = analyze_configuration(3, "II", 2)

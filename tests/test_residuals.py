@@ -85,6 +85,12 @@ class TestScenarioValidation:
         assert scenario.faults[0].magnitude == 0.5
         assert abs(scenario.current_at(0.005) - 2.0 * math.sin(2 * math.pi * 50 * 0.005)) < 1e-12
 
+    def test_constant_current_object_equals_a_number(self):
+        def scenario(i_out):
+            return scenario_from_dict({"mode": "insertion-forward", "i_out": i_out})
+
+        assert scenario({"kind": "constant", "value": 2.0}) == scenario(2.0)
+
 
 class TestPlant:
     def test_rest_equilibrium_outputs_open_circuit_voltage(self):

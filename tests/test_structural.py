@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from switchdiag import bimmc, structural
-from switchdiag.errors import InputError, InternalConsistencyError, OracleBoundError
+from switchdiag.errors import InputError, InternalConsistencyError
 from switchdiag.oraclecheck import (
     _oracle_matching_size,
     definitional_dm_decompose,
@@ -266,13 +266,30 @@ class TestAgainstDefinitionalReference:
         assert dm == definitional_dm_decompose(model)
 
     def test_random_models_over_part_matches_oracle(self):
-        # The scipy matching-size oracle, far above its default size bound.
+        # The scipy matching-size oracle on 120-equation models.
         rng = random.Random(11)
         for _ in range(3):
             model = sparse_model(rng, 120)
             over = dm_decompose(model).over.equations
             for eq in model.equations:
-                assert (eq in over) == oracle_plus_membership(model, eq, bound=120)
+                assert (eq in over) == oracle_plus_membership(model, eq)
+
+    @pytest.mark.parametrize("setup", bimmc.SETUPS)
+    def test_matching_size_oracle_at_n16(self, setup):
+        switched, _ = bimmc.generate(16, setup)
+        config = representative_configuration(switched, ReducedConfiguration((8, 8)))
+        model = instantiate(switched, config)
+        over = dm_decompose(model).over.equations
+        for eq in model.equations:
+            assert (eq in over) == oracle_plus_membership(model, eq), eq
+
+    @pytest.mark.parametrize("setup", bimmc.SETUPS)
+    def test_oracle_partition_at_n4(self, setup):
+        switched, _ = bimmc.generate(4, setup)
+        for k in range(5):
+            config = representative_configuration(switched, ReducedConfiguration((k, 4 - k)))
+            model = instantiate(switched, config)
+            assert oracle_partition(model) == isolability_partition(model), k
 
     @pytest.mark.parametrize("setup", bimmc.SETUPS)
     def test_every_reduced_configuration_at_n16(self, setup):
@@ -291,7 +308,9 @@ class TestAgainstDefinitionalReference:
         assert len(dm.fine_blocks) == 226
         reference = definitional_dm_decompose(model)
         assert dm == reference
-        assert isolability_partition(model) == partition_from_decomposition(model, reference)
+        report = isolability_partition(model)
+        assert report == partition_from_decomposition(model, reference)
+        assert isolability_matrix(model) == partition_matrix(report)
 
     @pytest.mark.parametrize("setup", bimmc.SETUPS)
     def test_random_configurations_at_n64(self, setup):
@@ -496,11 +515,6 @@ class TestOracle:
 
     def test_just_determined_not_redundant(self):
         assert not oracle_plus_membership(model_of({"e1": {"x"}}), "e1")
-
-    def test_bound_is_enforced(self):
-        incidence = {f"e{i}": {"x"} for i in range(17)}
-        with pytest.raises(OracleBoundError):
-            oracle_plus_membership(model_of(incidence), "e0")
 
     def test_unknown_equation_rejected(self):
         with pytest.raises(InputError):
