@@ -43,7 +43,6 @@ from .structural import (
     IsolabilityMatrix,
     IsolabilityReport,
     StructuralModel,
-    detectability_set,
     dm_decompose,
     isolability_partition,
     partition_matrix,

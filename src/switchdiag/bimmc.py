@@ -232,6 +232,8 @@ def build_catalogue(
     template_faults = [eq.fault for eq in switched.template.equations if eq.fault is not None]
     aggregate_by_fault: dict[str, str] = {}
     for aggregate, constituents in aggregation_pattern.items():
+        if not aggregate:
+            raise InputError("aggregate name must be a non-empty string")
         missing = set(constituents) - set(template_faults)
         if missing:
             raise InputError(f"aggregation pattern references unknown faults {sorted(missing)}")

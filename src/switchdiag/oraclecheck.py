@@ -298,9 +298,12 @@ def run_oracle_check(count: int, seed: int) -> OracleCheckResult:
         model = random_model(rng)
         result.models_checked += 1
         over = dm_decompose(model).over.equations
-        for eq in model.equations:
+        # oracle_plus_membership for every equation, on one graph and one full matching.
+        graph = _biadjacency(model)
+        size = _matching_size(graph)
+        for row, eq in enumerate(model.equations):
             result.equations_checked += 1
-            if (eq in over) != oracle_plus_membership(model, eq):
+            if (eq in over) != (_matching_size(_cut(graph, row)) == size):
                 result.failures.append(
                     f"model {index}: redundancy of {eq} disagrees with the oracle"
                 )

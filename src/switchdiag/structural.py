@@ -149,17 +149,6 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
     return model
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of (equation, unknown) pairs, each vertex used at most once."""
-
-    pairs: frozenset[tuple[str, str]]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-
 class PartPair(NamedTuple):
     equations: frozenset[str]
     unknowns: frozenset[str]
@@ -235,14 +224,6 @@ class IsolabilityMatrix:
         ):
             raise InternalConsistencyError("matrix entries must be square over the faults")
 
-    @property
-    def is_identity(self) -> bool:
-        return all(
-            entry == (i == j)
-            for i, row in enumerate(self.entries)
-            for j, entry in enumerate(row)
-        )
-
 
 def _sweep(
     adj: list[list[int]], back: list[int], start: int, seen: list[int], stamp: int, post: list[int]
@@ -304,18 +285,19 @@ def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
     return eq_match, var_match
 
 
-def max_matching(model: StructuralModel) -> Matching:
-    """Maximum bipartite matching between equations and unknowns.
+def max_matching(model: StructuralModel) -> frozenset[tuple[str, str]]:
+    """Maximum bipartite matching as its (equation, unknown) pairs.
 
     Computed iteratively (no recursion, whatever the path lengths) by a
     greedy pass followed by augmenting-path searches.  Deterministic for a
     fixed declaration order of equations and unknowns; which maximum
     matching is returned may change when that order changes.
+    Kept for the ``structural.max_matching.s`` timing in ``benchmarks/run.py``.
     """
     eq_match, _ = _matching(model)
-    return Matching(frozenset(
+    return frozenset(
         (model.equations[i], model.unknowns[x]) for i, x in enumerate(eq_match) if x >= 0
-    ))
+    )
 
 
 # Coarse part codes: 2 * (reached by the over sweep) + (reached by the
@@ -378,7 +360,10 @@ def _named_parts(model: StructuralModel, coarse: _Coarse) -> tuple[PartPair, Par
 
 
 def plus_part(model: StructuralModel) -> frozenset[str]:
-    """Equations of the overdetermined part (the analytical redundancy)."""
+    """Equations of the overdetermined part (the analytical redundancy).
+
+    Kept for the ``structural.coarse_dm.s`` timing in ``benchmarks/run.py``.
+    """
     names = model.equations
     return frozenset(names[i] for i in _coarse_parts(model).post)
 
@@ -476,17 +461,6 @@ def dm_decompose(model: StructuralModel) -> DmDecomposition:
     blocks = _by_block(_fine_blocks(model, coarse), model.equations)
     blocks.pop(-1, None)
     return DmDecomposition(*_named_parts(model, coarse), _canonical_partition(blocks.values()))
-
-
-def detectability_set(model: StructuralModel) -> tuple[frozenset[str], frozenset[str]]:
-    """Split faults into (detectable, non-detectable).
-
-    A fault is structurally detectable exactly when its equation lies in
-    the overdetermined part of the model.
-    """
-    plus = plus_part(model)
-    detectable = frozenset(f for f in model.faults if model.fault_map[f] in plus)
-    return detectable, frozenset(model.faults) - detectable
 
 
 def isolability_partition(model: StructuralModel) -> IsolabilityReport:

@@ -17,7 +17,6 @@ from switchdiag.errors import InputError
 from switchdiag.oraclecheck import random_model
 from switchdiag.structural import (
     IsolabilityReport,
-    detectability_set,
     isolability_partition,
 )
 from switchdiag.switched import Configuration, instantiate
@@ -141,16 +140,14 @@ class TestDetectability:
     def test_all_bypassed_hides_output_current_fault(self):
         for setup in ("I", "II", "III", "IV"):
             model, _ = flat(setup, 3, ("bypass1",) * 3)
-            _, non_detectable = detectability_set(model)
-            assert non_detectable == {"f_iout"}
+            assert isolability_partition(model).non_detectable == {"f_iout"}
 
     @pytest.mark.parametrize("setup", ["I", "II", "III", "IV"])
     @pytest.mark.parametrize("inserted", [1, 2, 3])
     def test_any_inserted_cell_makes_all_faults_detectable(self, setup, inserted):
         modes = ("forward",) * inserted + ("bypass1",) * (3 - inserted)
         model, _ = flat(setup, 3, modes)
-        _, non_detectable = detectability_set(model)
-        assert non_detectable == frozenset()
+        assert isolability_partition(model).non_detectable == frozenset()
 
 
 class TestIsolabilityAgainstKnownResults:

@@ -59,21 +59,28 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_structural_command_loads_no_numpy(tmp_path, capsys):
-    # Only the residual command needs numpy; analyze must start without it.
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "{model}", "--config", "IIBB"],
+    ["dm", "--model", "{model}", "--config", "IIBB"],
+    ["sweep", "--n", "3", "--full-enumeration"],
+], ids=["analyze", "dm", "sweep"])
+def test_structural_command_loads_no_numpy(tmp_path, capsys, argv):
+    # Only the residual command needs numpy (and oracle-check scipy); the
+    # structural commands must start and run without either.
     path = tmp_path / "n4.json"
     code, _, _ = run_cli(capsys, "generate", "--n", "4", "--setup", "IV", "--out", str(path))
     assert code == EXIT_OK
     src = str(Path(switchdiag.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, switchdiag.cli; "
-             "code = switchdiag.cli.main(['analyze', '--model', sys.argv[1], '--config', 'IIBB']); "
-             "print(code, 'numpy' in sys.modules)")
+    probe = ("import json, sys, switchdiag.cli; "
+             "code = switchdiag.cli.main(json.loads(sys.argv[1])); "
+             "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    argv = [arg.format(model=path) for arg in argv]
     result = subprocess.run(
-        [sys.executable, "-c", probe, str(path)], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe, json.dumps(argv)], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_package_serves_residual_names():
@@ -537,13 +544,15 @@ class TestMalformedSwitchedModel:
          "global equation 'e1,0' per-instance unknowns must be template locals"),
         (_set("fault_aggregation", "f_other", ["f_Ro"]), "IB",
          "aggregation cells must be disjoint"),
+        (_set("fault_aggregation", {"": ["f_Ro"]}), "IB",
+         "aggregate name must be a non-empty string"),
         (_set("template", "equations", 0, "id", 5), "IB",
          'template equation "id" must be a string'),
         (lambda data: None, "forward,sideways", "unknown mode name 'sideways'"),
     ], ids=[
         "letter-to-unknown-mode", "shared-collides-with-local", "template-undeclared-unknown",
         "global-non-shared-unknown", "per-instance-not-local", "fault-in-two-aggregates",
-        "equation-id-number", "unknown-mode-name",
+        "empty-aggregate-name", "equation-id-number", "unknown-mode-name",
     ])
     def test_refusal_names_its_cause(self, capsys, tmp_path, mutate, config, message):
         path = tmp_path / "model.json"

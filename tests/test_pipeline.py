@@ -239,7 +239,6 @@ class TestRender:
         idx = {f: i for i, f in enumerate(matrix.faults)}
         assert matrix.entries[idx["f_cell,3"]][idx["f_vcell,3"]]
         assert not matrix.entries[idx["f_cell,1"]][idx["f_vcell,1"]]
-        assert not matrix.is_identity
 
 
 def hand_report(later: list[CompactIsolability]) -> SweepReport:

@@ -20,7 +20,6 @@ from switchdiag.structural import (
     IsolabilityMatrix,
     IsolabilityReport,
     StructuralModel,
-    detectability_set,
     dm_decompose,
     isolability_partition,
     max_matching,
@@ -74,15 +73,14 @@ class TestModelValidation:
 
 class TestMaxMatching:
     def test_empty_model(self):
-        assert max_matching(model_of({})).size == 0
+        assert max_matching(model_of({})) == frozenset()
 
     def test_shared_variable(self):
-        assert max_matching(model_of({"e1": {"x"}, "e2": {"x"}})).size == 1
+        assert len(max_matching(model_of({"e1": {"x"}, "e2": {"x"}}))) == 1
 
     def test_complete_bipartite(self):
         xyz = {"x", "y", "z"}
-        matching = max_matching(model_of({"e1": xyz, "e2": xyz, "e3": xyz}))
-        assert matching.size == 3
+        assert len(max_matching(model_of({"e1": xyz, "e2": xyz, "e3": xyz}))) == 3
 
     def test_deterministic_for_fixed_order(self):
         model = model_of({"e1": {"x", "y"}, "e2": {"x"}, "e3": {"y", "z"}})
@@ -94,16 +92,16 @@ class TestMaxMatching:
         rng = random.Random(31)
         for index in range(600):
             model = random_model(rng, max_equations=40, max_unknowns=40)
-            assert max_matching(model).size == _oracle_matching_size(model), index
+            assert len(max_matching(model)) == _oracle_matching_size(model), index
 
     @given(models(with_faults=False))
     def test_pairs_are_valid_and_injective(self, model):
         matching = max_matching(model)
-        eqs = [e for e, _ in matching.pairs]
-        vars_ = [x for _, x in matching.pairs]
+        eqs = [e for e, _ in matching]
+        vars_ = [x for _, x in matching]
         assert len(set(eqs)) == len(eqs)
         assert len(set(vars_)) == len(vars_)
-        for e, x in matching.pairs:
+        for e, x in matching:
             assert x in model.incidence[e]
 
 
@@ -329,7 +327,7 @@ class TestAgainstDefinitionalReference:
 class TestLongAugmentingPaths:
     def test_chain_matches_without_recursion_limit(self):
         model = chain_model(3000)
-        assert max_matching(model).size == 3001
+        assert len(max_matching(model)) == 3001
         dm = dm_decompose(model)
         assert not dm.over.equations
         assert len(dm.just.equations) == 3001
@@ -360,7 +358,7 @@ class TestLongAugmentingPaths:
             incidence[f"a{i}"] = {f"x{i}", f"y{i}"}
             incidence[f"b{i}"] = {f"x{i}"}
         model = model_of(incidence)
-        assert max_matching(model).size == 2 * pairs == _oracle_matching_size(model)
+        assert len(max_matching(model)) == 2 * pairs == _oracle_matching_size(model)
         dm = dm_decompose(model)
         assert dm.just.equations == frozenset(model.equations)
         assert dm.just.unknowns == frozenset(model.unknowns)
@@ -388,22 +386,21 @@ class TestInternalConsistency:
 
 class TestDetectability:
     def test_residual_equation_fault_detectable(self):
-        detectable, non_detectable = detectability_set(model_of({"e1": set()}, {"f": "e1"}))
-        assert detectable == {"f"} and not non_detectable
+        report = isolability_partition(model_of({"e1": set()}, {"f": "e1"}))
+        assert report.detectable == {"f"} and not report.non_detectable
 
     def test_fault_outside_plus_part_not_detectable(self):
-        model = model_of({"e1": {"x"}}, {"f": "e1"})
-        detectable, non_detectable = detectability_set(model)
-        assert non_detectable == {"f"} and not detectable
+        report = isolability_partition(model_of({"e1": {"x"}}, {"f": "e1"}))
+        assert report.non_detectable == {"f"} and not report.detectable
 
     @given(models())
     def test_definition_direct(self, model):
-        plus = plus_part(model)
-        detectable, non_detectable = detectability_set(model)
+        # A fault is detectable exactly when its equation is overdetermined.
+        over = dm_decompose(model).over.equations
+        report = isolability_partition(model)
         for f in model.faults:
-            assert (f in detectable) == (model.fault_map[f] in plus)
-        assert detectable | non_detectable == set(model.faults)
-        assert not detectable & non_detectable
+            assert (f in report.detectable) == (model.fault_map[f] in over)
+        assert report.detectable | report.non_detectable == set(model.faults)
 
 
 class TestIsolability:
@@ -430,7 +427,7 @@ class TestIsolability:
 
     @given(models())
     def test_symmetric_on_detectable_faults(self, model):
-        detectable, _ = detectability_set(model)
+        detectable = isolability_partition(model).detectable
         for fi, fj in itertools.combinations(sorted(detectable), 2):
             assert is_isolable(model, fi, fj) == is_isolable(model, fj, fi)
 
@@ -454,7 +451,7 @@ class TestIsolabilityMatrix:
             {"e1": {"x"}, "e2": {"x"}, "e3": {"y"}, "e4": {"y"}},
             {"f1": "e1", "f3": "e3"},
         )
-        assert isolability_matrix(model).is_identity
+        assert isolability_matrix(model).entries == ((True, False), (False, True))
 
     def test_diagonal_always_true(self):
         model = model_of({"e1": set()}, {"f": "e1"})
