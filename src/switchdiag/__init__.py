@@ -40,12 +40,10 @@ from .pipeline import (
 )
 from .structural import (
     DmDecomposition,
-    IsolabilityMatrix,
     IsolabilityReport,
     StructuralModel,
     dm_decompose,
     isolability_partition,
-    partition_matrix,
 )
 from .switched import (
     Configuration,

@@ -234,6 +234,8 @@ def build_catalogue(
     for aggregate, constituents in aggregation_pattern.items():
         if not aggregate:
             raise InputError("aggregate name must be a non-empty string")
+        if not constituents:
+            raise InputError(f"aggregate {aggregate!r} absorbs no fault")
         missing = set(constituents) - set(template_faults)
         if missing:
             raise InputError(f"aggregation pattern references unknown faults {sorted(missing)}")

@@ -18,7 +18,7 @@ import sys
 
 from . import bimmc, modelio, pipeline
 from .errors import InputError, InternalConsistencyError
-from .structural import dm_decompose, isolability_partition, partition_matrix
+from .structural import dm_decompose, isolability_partition
 from .switched import instantiate, parse_configuration
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _cmd_analyze(args) -> int:
     sys.stdout.write(pipeline.render_report(report, args.format))
     if args.matrix:
         sys.stdout.write("\nNon-isolability matrix (• = not isolable):\n")
-        sys.stdout.write(pipeline.render_matrix(partition_matrix(report)))
+        sys.stdout.write(pipeline.render_matrix(report))
     return EXIT_OK
 
 

@@ -12,10 +12,12 @@ evaluation of the removal definition on the same matching sizes.
 breadth-first searches of the alternating digraph for the coarse parts,
 and recomputes fine blocks by literal removal; :func:`is_isolable` and
 :func:`isolability_matrix` give the pairwise removal route on those
-searches, for tests that compare it with the fine-block partition.
+searches, for tests that compare it with the fine-block partition; the
+boolean :class:`IsolabilityMatrix` is that route's result type.
 """
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,6 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 from .errors import InputError, InternalConsistencyError
 from .structural import (
     DmDecomposition,
-    IsolabilityMatrix,
     IsolabilityReport,
     PartPair,
     StructuralModel,
@@ -35,6 +36,7 @@ from .structural import (
 )
 
 __all__ = [
+    "IsolabilityMatrix",
     "OracleCheckResult",
     "definitional_dm_decompose",
     "is_isolable",
@@ -45,6 +47,25 @@ __all__ = [
     "remove_equation",
     "run_oracle_check",
 ]
+
+
+@dataclass(frozen=True)
+class IsolabilityMatrix:
+    """Boolean non-isolability matrix over an ordered fault list.
+
+    ``entries[i][j]`` is True when fault ``i`` is NOT isolable from fault
+    ``j``; the diagonal is always True and an identity matrix means full
+    isolability.
+    """
+
+    faults: tuple[str, ...]
+    entries: tuple[tuple[bool, ...], ...]
+
+    def __post_init__(self):
+        if len(self.entries) != len(self.faults) or any(
+            len(row) != len(self.faults) for row in self.entries
+        ):
+            raise InternalConsistencyError("matrix entries must be square over the faults")
 
 
 def random_model(
@@ -248,10 +269,19 @@ def oracle_partition(model: StructuralModel) -> IsolabilityReport:
     members, so that the sets form a partition, then returns it.
     """
     graph = _biadjacency(model)
+    faulty = [r for r, (_, _, f) in enumerate(model.rows) if f is not None]
+    cut_sizes = {r: _matching_size(_cut(graph, r)) for r in faulty}
+    return _pairwise_partition(model, graph, _matching_size(graph), cut_sizes)
+
+
+def _pairwise_partition(
+    model: StructuralModel, graph: csr_matrix, size: int, cut_sizes: Mapping[int, int]
+) -> IsolabilityReport:
+    # oracle_partition from the model's graph, its matching size nu(M) and
+    # nu(M \ {e}) for at least every faulty row e.
     row = {f: i for i, (_, _, f) in enumerate(model.rows) if f is not None}
-    size = _matching_size(graph)
     # nu(M \ {e}) per fault: the fault is detectable when it equals nu(M).
-    size_without = {f: _matching_size(_cut(graph, r)) for f, r in row.items()}
+    size_without = {f: cut_sizes[r] for f, r in row.items()}
     detectable = frozenset(f for f in model.faults if size_without[f] == size)
     det = sorted(detectable)
     linked = {f: {f} for f in det}
@@ -298,16 +328,18 @@ def run_oracle_check(count: int, seed: int) -> OracleCheckResult:
         model = random_model(rng)
         result.models_checked += 1
         over = dm_decompose(model).over.equations
-        # oracle_plus_membership for every equation, on one graph and one full matching.
+        # oracle_plus_membership for every equation and oracle_partition, on
+        # one graph, one full matching and one single-cut matching per row.
         graph = _biadjacency(model)
         size = _matching_size(graph)
+        cut_sizes = {row: _matching_size(_cut(graph, row)) for row in range(len(model.equations))}
         for row, eq in enumerate(model.equations):
             result.equations_checked += 1
-            if (eq in over) != (_matching_size(_cut(graph, row)) == size):
+            if (eq in over) != (cut_sizes[row] == size):
                 result.failures.append(
                     f"model {index}: redundancy of {eq} disagrees with the oracle"
                 )
-        expected = oracle_partition(model)
+        expected = _pairwise_partition(model, graph, size, cut_sizes)
         detectable = len(expected.detectable)
         result.pairs_checked += detectable * (detectable - 1) // 2
         if isolability_partition(model) != expected:

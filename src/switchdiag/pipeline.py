@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 
 from . import bimmc
 from .errors import InputError, InternalConsistencyError
-from .structural import (
-    IsolabilityMatrix,
-    IsolabilityReport,
-    _unique,
-    isolability_partition,
-)
+from .structural import IsolabilityReport, _unique, isolability_partition
 from .switched import (
     Configuration,
     ReducedConfiguration,
@@ -468,27 +463,31 @@ def render_report(report: IsolabilityReport, fmt: str = "md") -> str:
     raise InputError(f"unknown render format {fmt!r}; expected one of {RENDER_FORMATS}")
 
 
-def render_matrix(matrix: IsolabilityMatrix) -> str:
-    """Dot-convention text rendering: a dot marks a non-isolable pair.
+def render_matrix(report: IsolabilityReport) -> str:
+    """Dot-convention non-isolability matrix of a report's detectable faults.
 
-    Every column is one mark padded to the widest fault name, so a row is
-    the all-``·`` row text with ``•`` spliced in at its True columns,
-    found with ``tuple.index``: O(D) string copying per row plus one step
-    per True entry.
+    Rows and columns are the detectable faults in sorted order, and a
+    ``•`` marks two faults of one partition cell.  Every column is one mark
+    padded to the widest fault name.  The faults of a cell have equal rows,
+    so each cell's row text is built once, by splicing ``•`` into the
+    all-``·`` row at the cell's columns, and shared by its faults: O(D)
+    string copying per cell and per printed row.
     """
-    width = max((len(f) for f in matrix.faults), default=0)
+    faults = sorted(report.detectable)
+    column = {f: j for j, f in enumerate(faults)}
+    width = max(map(len, faults), default=0)
     dot, bullet = "·".ljust(width), "•".ljust(width)
     step = len(dot) + 1
-    blank = " ".join([dot] * len(matrix.faults))
-    lines = [" " * (width + 2) + " ".join(f.ljust(width) for f in matrix.faults)]
-    for fault, row in zip(matrix.faults, matrix.entries):
-        parts = [fault.ljust(width + 2)]
-        start, j = 0, -1
-        for _ in range(row.count(True)):
-            j = row.index(True, j + 1)
+    blank = " ".join([dot] * len(faults))
+    row_text = {}
+    for cell in report.non_isolable_partition:
+        parts, start = [], 0
+        for j in sorted(column[f] for f in cell):
             parts += (blank[start:j * step], bullet)
             start = j * step + len(dot)
         parts.append(blank[start:])
-        lines.append("".join(parts))
+        row_text.update(dict.fromkeys(cell, "".join(parts)))
+    lines = [" " * (width + 2) + " ".join(f.ljust(width) for f in faults)]
+    lines.extend(f.ljust(width + 2) + row_text[f] for f in faults)
     lines.append("")  # the closing newline, without copying the text again
     return "\n".join(lines)

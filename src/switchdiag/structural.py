@@ -206,25 +206,6 @@ class IsolabilityReport:
         return self.non_isolable_partition[index]
 
 
-@dataclass(frozen=True)
-class IsolabilityMatrix:
-    """Boolean non-isolability matrix over an ordered fault list.
-
-    ``entries[i][j]`` is True when fault ``i`` is NOT isolable from fault
-    ``j``; the diagonal is always True and an identity matrix means full
-    isolability.
-    """
-
-    faults: tuple[str, ...]
-    entries: tuple[tuple[bool, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.faults) or any(
-            len(row) != len(self.faults) for row in self.entries
-        ):
-            raise InternalConsistencyError("matrix entries must be square over the faults")
-
-
 def _sweep(
     adj: list[list[int]], back: list[int], start: int, seen: list[int], stamp: int, post: list[int]
 ) -> list[int] | None:
@@ -477,24 +458,3 @@ def isolability_partition(model: StructuralModel) -> IsolabilityReport:
     partition = _canonical_partition(cells.values())
     return IsolabilityReport(frozenset().union(*partition), partition, non_detectable)
 
-
-def partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
-    """Non-isolability matrix induced by a report's partition cells.
-
-    The faults of one cell have equal rows, so each cell builds its row
-    once, True at the cell's columns, and every fault of the cell shares
-    that tuple.  Cost: one pass over the faults plus O(|cell|) steps per
-    cell, with the rows' D entries filled by list copying.
-    """
-    order = tuple(sorted(report.detectable))
-    cell_index = report._cell_index
-    columns: list[list[int]] = [[] for _ in report.non_isolable_partition]
-    for j, fault in enumerate(order):
-        columns[cell_index[fault]].append(j)
-    rows = []
-    for cell_columns in columns:
-        row = [False] * len(order)
-        for j in cell_columns:
-            row[j] = True
-        rows.append(tuple(row))
-    return IsolabilityMatrix(order, tuple(rows[cell_index[fault]] for fault in order))

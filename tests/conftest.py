@@ -2,7 +2,8 @@ import string
 
 from hypothesis import settings, strategies as st
 
-from switchdiag.structural import IsolabilityMatrix, IsolabilityReport, StructuralModel
+from switchdiag.oraclecheck import IsolabilityMatrix
+from switchdiag.structural import IsolabilityReport, StructuralModel
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -74,13 +75,15 @@ def reports(draw, max_faults: int = 10):
     )
 
 
-@st.composite
-def matrices(draw, max_faults: int = 8):
-    """Random square boolean matrices, asymmetric and without a set diagonal."""
-    faults = tuple(draw(st.lists(_FAULT_NAMES, unique=True, max_size=max_faults)))
-    row = st.tuples(*[st.booleans()] * len(faults))
-    entries = draw(st.lists(row, min_size=len(faults), max_size=len(faults)))
-    return IsolabilityMatrix(faults, tuple(entries))
+def reference_partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
+    """The non-isolability matrix a report's partition induces, one comparison per pair."""
+    order = tuple(sorted(report.detectable))
+    cell_index = {f: i for i, cell in enumerate(report.non_isolable_partition) for f in cell}
+    entries = tuple(
+        tuple(cell_index[fi] == cell_index[fj] for fj in order)
+        for fi in order
+    )
+    return IsolabilityMatrix(order, entries)
 
 
 #: Hand-made reports at the edges: no fault, one fault, the empty fault
@@ -95,9 +98,3 @@ EDGE_REPORTS = {
         frozenset({"f_vout"}),
     ),
 }
-
-#: Rows that differ from their transposes, an empty row and a full row.
-ASYMMETRIC_MATRIX = IsolabilityMatrix(
-    ("fa", "f_long", "f,3"),
-    ((True, True, False), (False, False, False), (True, True, True)),
-)

@@ -16,11 +16,11 @@ from switchdiag.pipeline import (
     render_report,
     sweep,
 )
-from switchdiag.oraclecheck import isolability_matrix
-from switchdiag.structural import IsolabilityMatrix, IsolabilityReport, partition_matrix
+from switchdiag.oraclecheck import IsolabilityMatrix, isolability_matrix
+from switchdiag.structural import IsolabilityReport, isolability_partition
 from switchdiag.switched import Configuration, canonicalize, structural_mode_classes
 
-from .conftest import ASYMMETRIC_MATRIX, EDGE_REPORTS, matrices, models, reports
+from .conftest import EDGE_REPORTS, models, reference_partition_matrix, reports
 
 PAIR = frozenset({"f_cell,k", "f_vcell,k"})
 CLASSES = structural_mode_classes(bimmc.generate(1, "I")[0].template)
@@ -229,16 +229,16 @@ class TestRender:
             (frozenset({"fa"}), frozenset({"fb"})),
             frozenset(),
         )
-        text = render_matrix(partition_matrix(report))
+        text = render_matrix(report)
         lines = text.strip().splitlines()
         assert lines[1].count("•") == 1 and lines[2].count("•") == 1
 
     def test_matrix_render_block(self):
-        report = analyze_configuration(3, "II", 2)
-        matrix = partition_matrix(report)
-        idx = {f: i for i, f in enumerate(matrix.faults)}
-        assert matrix.entries[idx["f_cell,3"]][idx["f_vcell,3"]]
-        assert not matrix.entries[idx["f_cell,1"]][idx["f_vcell,1"]]
+        lines = render_matrix(analyze_configuration(3, "II", 2)).splitlines()
+        column = {f: j for j, f in enumerate(lines[0].split())}
+        marks = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+        assert marks["f_cell,3"][column["f_vcell,3"]] == "•"
+        assert marks["f_cell,1"][column["f_vcell,1"]] == "·"
 
 
 def hand_report(later: list[CompactIsolability]) -> SweepReport:
@@ -300,31 +300,21 @@ def reference_render_matrix(matrix: IsolabilityMatrix) -> str:
 class TestRenderMatrix:
     @given(reports())
     def test_random_reports_match_reference(self, report):
-        matrix = partition_matrix(report)
-        assert render_matrix(matrix) == reference_render_matrix(matrix)
+        assert render_matrix(report) == reference_render_matrix(reference_partition_matrix(report))
 
     @pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
     def test_edge_reports_match_reference(self, report):
-        matrix = partition_matrix(report)
-        assert render_matrix(matrix) == reference_render_matrix(matrix)
-
-    def test_asymmetric_matrix_matches_reference(self):
-        text = render_matrix(ASYMMETRIC_MATRIX)
-        assert text == reference_render_matrix(ASYMMETRIC_MATRIX)
-        assert [line.count("•") for line in text.splitlines()[1:]] == [2, 0, 3]
-
-    @given(matrices())
-    def test_random_matrices_match_reference(self, matrix):
-        assert render_matrix(matrix) == reference_render_matrix(matrix)
+        assert render_matrix(report) == reference_render_matrix(reference_partition_matrix(report))
 
     @given(models())
     def test_pairwise_oracle_matrices_match_reference(self, model):
-        matrix = isolability_matrix(model)
-        assert render_matrix(matrix) == reference_render_matrix(matrix)
+        # The printed text against the pairwise removal route, end to end.
+        text = render_matrix(isolability_partition(model))
+        assert text == reference_render_matrix(isolability_matrix(model))
 
     def test_bimmc_configuration_matches_reference(self):
-        matrix = partition_matrix(analyze_configuration(16, "II", 5))
-        assert render_matrix(matrix) == reference_render_matrix(matrix)
+        report = analyze_configuration(16, "II", 5)
+        assert render_matrix(report) == reference_render_matrix(reference_partition_matrix(report))
 
 
 class TestFullEnumeration:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from switchdiag import bimmc, structural
 from switchdiag.errors import InputError, InternalConsistencyError
 from switchdiag.oraclecheck import (
+    IsolabilityMatrix,
     _oracle_matching_size,
     definitional_dm_decompose,
     is_isolable,
@@ -17,13 +18,11 @@ from switchdiag.oraclecheck import (
     remove_equation,
 )
 from switchdiag.structural import (
-    IsolabilityMatrix,
     IsolabilityReport,
     StructuralModel,
     dm_decompose,
     isolability_partition,
     max_matching,
-    partition_matrix,
     plus_part,
 )
 from switchdiag.switched import (
@@ -33,7 +32,7 @@ from switchdiag.switched import (
     representative_configuration,
 )
 
-from .conftest import EDGE_REPORTS, models, reports
+from .conftest import models, reference_partition_matrix, reports
 
 
 def model_of(incidence, faults=None, unknowns=None):
@@ -308,7 +307,7 @@ class TestAgainstDefinitionalReference:
         assert dm == reference
         report = isolability_partition(model)
         assert report == partition_from_decomposition(model, reference)
-        assert isolability_matrix(model) == partition_matrix(report)
+        assert isolability_matrix(model) == reference_partition_matrix(report)
 
     @pytest.mark.parametrize("setup", bimmc.SETUPS)
     def test_random_configurations_at_n64(self, setup):
@@ -460,35 +459,10 @@ class TestIsolabilityMatrix:
 
     @given(models())
     def test_matches_partition_induced_matrix(self, model):
-        assert isolability_matrix(model) == partition_matrix(isolability_partition(model))
-
-
-def reference_partition_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
-    # One comparison per fault pair; partition_matrix must equal it.
-    order = tuple(sorted(report.detectable))
-    cell_index = {f: i for i, cell in enumerate(report.non_isolable_partition) for f in cell}
-    entries = tuple(
-        tuple(cell_index[fi] == cell_index[fj] for fj in order)
-        for fi in order
-    )
-    return IsolabilityMatrix(order, entries)
+        assert isolability_matrix(model) == reference_partition_matrix(isolability_partition(model))
 
 
 class TestPartitionMatrix:
-    @given(reports())
-    def test_random_reports_match_reference(self, report):
-        assert partition_matrix(report) == reference_partition_matrix(report)
-
-    @pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
-    def test_edge_reports_match_reference(self, report):
-        assert partition_matrix(report) == reference_partition_matrix(report)
-
-    def test_bimmc_configuration_matches_reference(self):
-        switched, _ = bimmc.generate(16, "IV")
-        config = Configuration(("forward", "bypass1", "backward", "bypass2") * 4)
-        report = isolability_partition(instantiate(switched, config))
-        assert partition_matrix(report) == reference_partition_matrix(report)
-
     @pytest.mark.parametrize("entries", [((True,),), ((True,), (False, True))])
     def test_matrix_must_be_square(self, entries):
         with pytest.raises(InternalConsistencyError, match="square"):
