@@ -32,7 +32,9 @@ from switchdiag.switched import (
     representative_configuration,
 )
 
-from .conftest import models, reference_partition_matrix, reports
+from switchdiag.pipeline import render_matrix
+
+from .conftest import EDGE_REPORTS, models, reference_partition_matrix, reports
 
 
 def model_of(incidence, faults=None, unknowns=None):
@@ -462,7 +464,43 @@ class TestIsolabilityMatrix:
         assert isolability_matrix(model) == reference_partition_matrix(isolability_partition(model))
 
 
+def printed_matrix(report: IsolabilityReport) -> IsolabilityMatrix:
+    """Read the matrix render_matrix prints for a report back off its text.
+
+    Columns sit at fixed offsets, so each mark is read by position; labels,
+    the header and every line's length are checked on the way.
+    """
+    faults = tuple(sorted(report.detectable))
+    width = max(map(len, faults), default=0)
+    step = max(width, 1) + 1
+    lines = render_matrix(report).split("\n")
+    assert lines[0] == " " * (width + 2) + " ".join(f.ljust(width) for f in faults)
+    assert len(lines) == len(faults) + 2 and lines[-1] == ""
+    entries = []
+    for fault, line in zip(faults, lines[1:]):
+        assert line[:width + 2] == fault.ljust(width + 2)
+        assert len(line) == width + 2 + max(step * len(faults) - 1, 0)
+        marks = tuple(line[width + 2 + j * step] for j in range(len(faults)))
+        assert set(marks) <= {"•", "·"}
+        entries.append(tuple(mark == "•" for mark in marks))
+    return IsolabilityMatrix(faults, tuple(entries))
+
+
 class TestPartitionMatrix:
+    @given(reports())
+    def test_random_reports_match_reference(self, report):
+        assert printed_matrix(report) == reference_partition_matrix(report)
+
+    @pytest.mark.parametrize("report", EDGE_REPORTS.values(), ids=EDGE_REPORTS.keys())
+    def test_edge_reports_match_reference(self, report):
+        assert printed_matrix(report) == reference_partition_matrix(report)
+
+    def test_bimmc_configuration_matches_reference(self):
+        switched, _ = bimmc.generate(16, "IV")
+        config = Configuration(("forward", "bypass1", "backward", "bypass2") * 4)
+        report = isolability_partition(instantiate(switched, config))
+        assert printed_matrix(report) == reference_partition_matrix(report)
+
     @pytest.mark.parametrize("entries", [((True,),), ((True,), (False, True))])
     def test_matrix_must_be_square(self, entries):
         with pytest.raises(InternalConsistencyError, match="square"):
