@@ -25,7 +25,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import InputError
-from .structural import IsolabilityReport, _canonical_partition
+from .structural import IsolabilityReport, _canonical_partition, _unique
 from .switched import (
     GlobalEquation,
     ModeGuardedEquation,
@@ -236,6 +236,7 @@ def build_catalogue(
             raise InputError("aggregate name must be a non-empty string")
         if not constituents:
             raise InputError(f"aggregate {aggregate!r} absorbs no fault")
+        _unique(constituents, f"aggregate {aggregate!r} fault")
         missing = set(constituents) - set(template_faults)
         if missing:
             raise InputError(f"aggregation pattern references unknown faults {sorted(missing)}")

@@ -10,34 +10,35 @@ parts, the extended decomposition of the overdetermined part into fine
 blocks, and the fault detectability / isolability calculus those blocks
 induce.
 
-Everything follows from one maximum matching.  The coarse parts are two
-depth-first alternating sweeps, one from the exposed equations and one from
-the exposed unknowns; the matching's augmenting-path searches are the same
-sweep, stopped where it meets an exposed unknown.  The fine blocks come from the dominator tree of the
+Everything follows from one maximum matching, whose failed augmenting-path
+searches are the over sweep from the exposed equations (Pothen & Fan, ACM
+TOMS 1990); a failed search never succeeds later (Kuhn 1955), so those made
+before the last success are swept again, once, under the final marks.  The
+under sweep from the exposed unknowns, over the reverse adjacency, runs only
+when there is one.  The fine blocks come from the dominator tree of the
 alternating digraph over the overdetermined equations, rooted at a
 super-source joined to every exposed equation: two equations share a block
 exactly when one equation dominates both, so the blocks are the subtrees
 under the root's children.  They are the parallel classes of the strict
 gammoid dual to the equations' transversal matroid (Ingleton & Piff, JCT-B
 1973), the equivalence classes of the overdetermined part in Krysander,
-Aslund & Nyberg (IEEE TSMC-A 2008).  Dominators are computed by the
-iteration of Cooper, Harvey & Kennedy, "A simple, fast dominance
-algorithm" (2001).  The first sweep walks exactly that digraph, and its
-postorder is the order the dominator pass iterates, so the fine-block pass
-walks nothing itself.  Coarse parts and fine blocks are integer codes, one
-per equation: :func:`isolability_partition` groups the faults by their
-equations' block ids, and names are built only by :func:`dm_decompose`
-and the reports.  A whole decomposition costs one matching plus work
-near-linear in practice in the number of incidence edges, all of it
-iterative, so path lengths are not bounded by the recursion limit.
+Aslund & Nyberg (IEEE TSMC-A 2008).  Dominators are computed by the iteration
+of Cooper, Harvey & Kennedy, "A simple, fast dominance algorithm" (2001).
+The over sweep walks exactly that digraph, and its postorder is the order
+the dominator pass iterates, so the fine-block pass walks nothing itself.
+Coarse parts and fine blocks are integer codes, one per equation:
+:func:`isolability_partition` groups the faults by their equations' block
+ids, and names are built only by :func:`dm_decompose` and the reports.  A
+whole decomposition costs one matching plus work near-linear in practice in
+the number of incidence edges, all of it iterative, so path lengths are not
+bounded by the recursion limit.
 
 The public fields of every type are fixed at construction, and all
-operations are pure functions of their inputs.  A model's integer
-adjacency and its name-keyed ``incidence``, and a report's fault-to-cell
-index, are caches filled on first use.  The reverse adjacency is derived
-from the forward one, whose unchanged rows a re-guarded model shares.  No
-result depends on a cache or on the order of calls, so models and
-reports can be shared freely across threads.
+operations are pure functions of their inputs.  A model's integer adjacency
+and its name-keyed ``incidence``, and a report's fault-to-cell index, are
+caches filled on first use; a re-guarded model shares the adjacency rows it
+leaves unchanged.  No result depends on a cache or on the order of calls, so
+models and reports can be shared freely across threads.
 """
 
 from collections import Counter
@@ -99,15 +100,13 @@ class StructuralModel:
         return {eq: row_unknowns for eq, row_unknowns, _ in self.rows}
 
     @cached_property
-    def _index(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Integer adjacency in declaration order: equation -> unknowns and back.
+    def _index(self) -> list[list[int]]:
+        """Integer adjacency in declaration order: equation -> unknowns.
 
-        Built on first use; ``rev`` is the transpose of ``adj``.  Re-guarded
-        models share unchanged ``adj`` rows, so nothing may mutate them.
+        Built on first use; re-guarded models share unchanged rows, so nothing may mutate them.
         """
         var_index = {x: j for j, x in enumerate(self.unknowns)}
-        adj = [sorted([var_index[x] for x in row_unknowns]) for _, row_unknowns, _ in self.rows]
-        return adj, _transpose(adj, len(self.unknowns))
+        return [sorted([var_index[x] for x in row_unknowns]) for _, row_unknowns, _ in self.rows]
 
 
 def _transpose(adj: list[list[int]], width: int) -> list[list[int]]:
@@ -123,12 +122,11 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
     # ``base`` with the unknowns of the rows at the positions ``changes``
     # keys replaced.  Names, faults and unknowns stay those of ``base``,
     # whose construction checked them, so they are shared and only the new
-    # rows are checked.  Only the replaced ``adj`` rows are rebuilt, the
-    # others are shared with ``base``, and ``rev`` is derived from them.
+    # rows are checked.  Only the replaced ``_index`` rows are rebuilt.
     if not changes:
         return base
     var_index = {x: j for j, x in enumerate(base.unknowns)}
-    adj = list(base._index[0])
+    adj = list(base._index)
     rows = list(base.rows)
     for i, row_unknowns in changes.items():
         eq, _, fault = rows[i]
@@ -144,7 +142,7 @@ def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> St
         equations=base.equations,
         faults=base.faults,
         fault_map=base.fault_map,
-        _index=(adj, _transpose(adj, len(base.unknowns))),
+        _index=adj,
     )
     return model
 
@@ -236,13 +234,20 @@ def _sweep(
     return None
 
 
-def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
+# Coarse part codes: 2 * (reached by the over sweep) + (reached by the
+# under sweep), so a vertex both sweeps reached would read 3.
+_JUST, _UNDER, _OVER, _MET = 0, 1, 2, 3
+
+
+def _matching(model: StructuralModel) -> tuple[list[int], list[int], list[int], list[int]]:
     # Maximum matching as index maps equation -> unknown and unknown ->
     # equation, -1 where exposed: a greedy pass, then one augmenting-path
-    # search per equation the greedy pass left exposed.
-    adj, rev = model._index
+    # search per equation the greedy pass left exposed.  Its failed searches
+    # are the over sweep: also returned are the overdetermined equations in
+    # that sweep's postorder and each unknown's code, _OVER or _JUST.
+    adj = model._index
     eq_match = [-1] * len(adj)
-    var_match = [-1] * len(rev)
+    var_match = [-1] * len(model.unknowns)
     for i, row in enumerate(adj):
         for x in row:
             if var_match[x] < 0:
@@ -251,10 +256,12 @@ def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
                 break
     # An unknown a failed search visited leads to no exposed unknown while
     # the matching stays as it is, so its mark holds until a search succeeds.
-    seen = [-1] * len(rev)
+    seen = [-1] * len(var_match)
     stamp = 0
+    post: list[int] = []
+    last = 0
     for i in range(len(adj)):
-        path = _sweep(adj, var_match, i, seen, stamp, []) if eq_match[i] < 0 else None
+        path = _sweep(adj, var_match, i, seen, stamp, post) if eq_match[i] < 0 else None
         if path is not None:
             # Each equation on the path takes the unknown its successor was
             # entered through, its old partner; the last takes the exposed one.
@@ -263,7 +270,15 @@ def _matching(model: StructuralModel) -> tuple[list[int], list[int]]:
                 x, eq_match[eq] = eq_match[eq], x
                 var_match[eq_match[eq]] = eq
             stamp += 1
-    return eq_match, var_match
+            post.clear()
+            last = i
+    # The searches after the last success swept the final digraph.  Those
+    # before it are swept again under the final marks; a failed search never
+    # succeeds later (Kuhn 1955), so they stay exposed and find no path.
+    for i in range(last):
+        if eq_match[i] < 0 and _sweep(adj, var_match, i, seen, stamp, post) is not None:
+            raise InternalConsistencyError("DM sweep met an exposed vertex; matching not maximum")
+    return eq_match, var_match, post, [_OVER if s == stamp else _JUST for s in seen]
 
 
 def max_matching(model: StructuralModel) -> frozenset[tuple[str, str]]:
@@ -275,15 +290,10 @@ def max_matching(model: StructuralModel) -> frozenset[tuple[str, str]]:
     matching is returned may change when that order changes.
     Kept for the ``structural.max_matching.s`` timing in ``benchmarks/run.py``.
     """
-    eq_match, _ = _matching(model)
+    eq_match = _matching(model)[0]
     return frozenset(
         (model.equations[i], model.unknowns[x]) for i, x in enumerate(eq_match) if x >= 0
     )
-
-
-# Coarse part codes: 2 * (reached by the over sweep) + (reached by the
-# under sweep), so a vertex both sweeps reached would read 3.
-_JUST, _UNDER, _OVER, _MET = 0, 1, 2, 3
 
 
 class _Coarse(NamedTuple):
@@ -293,40 +303,36 @@ class _Coarse(NamedTuple):
     eq_part: list[int]
     var_part: list[int]
     eq_match: list[int]
+    var_match: list[int]
     post: list[int]
 
 
 def _coarse_parts(model: StructuralModel) -> _Coarse:
-    adj, rev = model._index
-    eq_match, var_match = _matching(model)
+    eq_match, var_match, post, var_part = _matching(model)
 
     # Overdetermined part: everything alternating-reachable from equations
-    # left exposed by a maximum matching.  Underdetermined part: the dual
-    # sweep from exposed unknowns.  Each sweep's marks, shared by its starts,
-    # are its code in the other side's part list; the start sides' codes are
-    # added only once both sweeps are done.
-    eq_part = [_JUST] * len(adj)
-    var_part = [_JUST] * len(rev)
-    post: list[int] = []
-    under_post: list[int] = []
-    for side, match, back, marks, code, done in (
-        (adj, eq_match, var_match, var_part, _OVER, post),
-        (rev, var_match, eq_match, eq_part, _UNDER, under_post),
-    ):
-        for v, partner in enumerate(match):
+    # left exposed by a maximum matching, which the matching swept.
+    # Underdetermined part: the dual sweep from exposed unknowns, over the
+    # reverse adjacency.  Its marks are its code in the equations' part list;
+    # the over equations' code is added only once it is done.
+    eq_part = [_JUST] * len(eq_match)
+    if -1 in var_match:
+        rev = _transpose(model._index, len(var_match))
+        under_post: list[int] = []
+        for x, partner in enumerate(var_match):
             # A maximum matching admits no augmenting path.
-            if partner < 0 and _sweep(side, back, v, marks, code, done) is not None:
+            if partner < 0 and _sweep(rev, eq_match, x, eq_part, _UNDER, under_post) is not None:
                 raise InternalConsistencyError("DM sweep met an exposed vertex; matching not maximum")
+        for x in under_post:
+            var_part[x] += _UNDER
     for i in post:
         eq_part[i] += _OVER
-    for x in under_post:
-        var_part[x] += _UNDER
     # Nor can the two sweeps meet.
     if _MET in eq_part or _MET in var_part:
         raise InternalConsistencyError("DM sweeps overlap; matching was not maximum")
     if eq_part.count(_JUST) != var_part.count(_JUST):
         raise InternalConsistencyError("just-determined part is not square")
-    return _Coarse(eq_part, var_part, eq_match, post)
+    return _Coarse(eq_part, var_part, eq_match, var_match, post)
 
 
 def _named_parts(model: StructuralModel, coarse: _Coarse) -> tuple[PartPair, PartPair, PartPair]:
@@ -355,10 +361,10 @@ def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[int]:
     # for an overdetermined equation, -1 for any other.  The digraph has an
     # edge e -> var_match[x] for each unknown x of e, and a root, index
     # ``len(adj)``, joined to every exposed equation.  The over sweep walked
-    # it from the root's children in order, so its postorder plus the root
+    # it from the root's children in turn, so its postorder plus the root
     # is the digraph's postorder.
-    adj, rev = model._index
-    eq_match = coarse.eq_match
+    adj = model._index
+    eq_match, var_match = coarse.eq_match, coarse.var_match
     root = len(adj)
     post = coarse.post + [root]
     rank = [-1] * (root + 1)
@@ -367,10 +373,13 @@ def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[int]:
     order = post[-2::-1]
     # An exposed equation's only predecessor is the root; a matched one's are
     # the other overdetermined equations that contain its matched unknown.
-    preds = [
-        [root] if eq_match[v] < 0 else [e for e in rev[eq_match[v]] if rank[e] >= 0 and e != v]
-        for v in order
-    ]
+    into: list[list[int]] = [[] for _ in range(root)]
+    for e, row in enumerate(adj):
+        if rank[e] >= 0:
+            for x in row:
+                if var_match[x] != e:
+                    into[var_match[x]].append(e)
+    preds = [[root] if eq_match[v] < 0 else into[v] for v in order]
     idom = [-1] * (root + 1)
     idom[root] = root
     changed = True
@@ -433,10 +442,10 @@ def dm_decompose(model: StructuralModel) -> DmDecomposition:
     the equivalence classes of M+ in Krysander, Aslund & Nyberg (IEEE
     TSMC-A 2008).  Immediate dominators come from the iteration of Cooper,
     Harvey & Kennedy, "A simple, fast dominance algorithm" (2001), over
-    reverse postorder.  Cost: one matching, two alternating sweeps for the
-    coarse parts, the first of which gives that postorder, and a dominator
-    pass over the E incidence edges that is near-linear in practice, with
-    no recursion and no model rebuilt.
+    reverse postorder.  Cost: one matching, whose failed searches give the
+    overdetermined part and that postorder, an under sweep only when an
+    unknown is exposed, and a dominator pass over the E incidence edges that
+    is near-linear in practice, with no recursion and no model rebuilt.
     """
     coarse = _coarse_parts(model)
     blocks = _by_block(_fine_blocks(model, coarse), model.equations)

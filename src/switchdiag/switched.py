@@ -15,8 +15,8 @@ Flattening is cheap after the first time.  The first configuration a
 switched model is instantiated under is built name by name and kept.  A
 later one differs from it only in the incidence of mode-guarded
 equations, so it is that model with the rows of the changed instances'
-differing equations re-guarded; names, faults and the integer adjacency
-of every other row are shared.
+differing equations re-guarded; names, faults and every other row's
+integer adjacency are shared, and no reverse adjacency is built.
 """
 
 from collections.abc import Mapping, Sequence

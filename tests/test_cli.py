@@ -547,13 +547,16 @@ class TestMalformedSwitchedModel:
         (_set("fault_aggregation", {"": ["f_Ro"]}), "IB",
          "aggregate name must be a non-empty string"),
         (_set("fault_aggregation", "f_x", []), "IB", "aggregate 'f_x' absorbs no fault"),
+        (_set("fault_aggregation", "f_cell", ["f_Ro", "f_Ro", "f_Rp"]), "IB",
+         "duplicate aggregate 'f_cell' fault identifiers: ['f_Ro']"),
         (_set("template", "equations", 0, "id", 5), "IB",
          'template equation "id" must be a string'),
         (lambda data: None, "forward,sideways", "unknown mode name 'sideways'"),
     ], ids=[
         "letter-to-unknown-mode", "shared-collides-with-local", "template-undeclared-unknown",
         "global-non-shared-unknown", "per-instance-not-local", "fault-in-two-aggregates",
-        "empty-aggregate-name", "empty-aggregate", "equation-id-number", "unknown-mode-name",
+        "empty-aggregate-name", "empty-aggregate", "aggregate-names-a-fault-twice",
+        "equation-id-number", "unknown-mode-name",
     ])
     def test_refusal_names_its_cause(self, capsys, tmp_path, mutate, config, message):
         path = tmp_path / "model.json"

@@ -128,6 +128,22 @@ class TestCoarseDecomposition:
         model = model_of({"e1": {"x"}, "e2": {"x"}, "e3": {"y"}})
         assert plus_part(model) == {"e1", "e2"}
 
+    def test_search_failed_before_an_augmentation_is_swept_again(self):
+        # The greedy pass leaves g0 and b0 exposed.  g0's search fails, then
+        # b0's augments, so the over sweep of g0 must be made again under the
+        # final matching.
+        incidence = {"f0": {"u0"}, "g0": {"u0"}, "a0": {"x0", "y0"}, "b0": {"x0"}}
+        model = model_of(incidence)
+        dm = dm_decompose(model)
+        assert dm.over == ({"f0", "g0"}, {"u0"})
+        assert dm.just == ({"a0", "b0"}, {"x0", "y0"})
+        assert not dm.under.equations and not dm.under.unknowns
+        assert dm == definitional_dm_decompose(model)
+        flipped = model_of(
+            dict(reversed(incidence.items())), unknowns=sorted(model.unknowns, reverse=True)
+        )
+        assert dm_decompose(flipped) == definitional_dm_decompose(flipped) == dm
+
     @given(models(with_faults=False))
     def test_part_size_relations(self, model):
         dm = dm_decompose(model)
@@ -367,15 +383,16 @@ class TestLongAugmentingPaths:
 
 class TestInternalConsistency:
     def test_non_maximum_matching_is_refused(self, monkeypatch):
-        # Dropping one pair leaves its equation and unknown exposed and
-        # adjacent: an augmenting path the over sweep must meet.
+        # Dropping one pair after the matching leaves its equation and
+        # unknown exposed and adjacent: an augmenting path the under sweep
+        # from that unknown must meet.
         matching = structural._matching
 
         def drop_one_pair(model):
-            eq_match, var_match = matching(model)
+            eq_match, var_match, post, var_part = matching(model)
             x = eq_match[0]
             eq_match[0] = var_match[x] = -1
-            return eq_match, var_match
+            return eq_match, var_match, post, var_part
 
         model = model_of({"e1": {"x1"}, "e2": {"x1", "x2"}, "e3": {"x2"}})
         monkeypatch.setattr(structural, "_matching", drop_one_pair)
