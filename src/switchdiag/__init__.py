@@ -19,7 +19,6 @@ from .bimmc import (
     NOMINAL_CELL,
     CellParameters,
     SensorSetup,
-    aggregate_report,
     generate,
     sensor_setup,
 )

@@ -17,15 +17,16 @@ IV        cell voltage + current   output current + voltage
 
 Parameter drifts of one cell (ohmic/charge-transfer resistance,
 capacitance, open-circuit voltage) are injected as four separate fault
-signals so each fault touches exactly one equation; reporting aggregates
-them into a single per-submodule cell fault via :func:`aggregate_report`.
+signals so each fault touches exactly one equation; the fault catalogue
+of :func:`build_catalogue` reports them as a single per-submodule cell
+fault, which :func:`~switchdiag.structural.isolability_partition` reads.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import InputError
-from .structural import IsolabilityReport, _canonical_partition, _unique
+from .structural import _unique
 from .switched import (
     GlobalEquation,
     ModeGuardedEquation,
@@ -45,7 +46,6 @@ __all__ = [
     "SM_SENSORS",
     "CellParameters",
     "SensorSetup",
-    "aggregate_report",
     "build_catalogue",
     "generate",
     "sensor_setup",
@@ -259,41 +259,3 @@ def build_catalogue(
                     f"aggregate name {instance_name(aggregate, k)!r} collides with a model fault"
                 )
     return catalogue
-
-
-def aggregate_report(report: IsolabilityReport, catalogue: Mapping[str, str]) -> IsolabilityReport:
-    """Collapse an internal-fault report to the names ``catalogue`` reports.
-
-    An aggregate is detectable when any constituent is; two reported
-    faults are non-isolable when some constituent of one shares a partition
-    cell chain with some constituent of the other, so cells holding the
-    same reported name are merged.
-    """
-    for fault in report.detectable | report.non_detectable:
-        if fault not in catalogue:
-            raise InputError(f"report fault {fault!r} is absent from the catalogue")
-
-    # Union-find over cells: each reported name remembers the first cell it
-    # appeared in, and every later cell holding it joins that one.
-    cells = report.non_isolable_partition
-    parent = list(range(len(cells)))
-
-    def find(index: int) -> int:
-        while parent[index] != index:
-            parent[index] = parent[parent[index]]
-            index = parent[index]
-        return index
-
-    first: dict[str, int] = {}
-    for index, cell in enumerate(cells):
-        for f in cell:
-            home = first.setdefault(catalogue[f], index)
-            if home != index:
-                parent[find(index)] = find(home)
-
-    merged: dict[int, list[str]] = {}
-    for name, index in first.items():
-        merged.setdefault(find(index), []).append(name)
-    detectable = frozenset(first)
-    non_detectable = frozenset(catalogue[f] for f in report.non_detectable) - detectable
-    return IsolabilityReport(detectable, _canonical_partition(merged.values()), non_detectable)

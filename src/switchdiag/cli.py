@@ -47,7 +47,7 @@ def _cmd_generate(args) -> int:
 
 
 def _load_flat_model(path: str, config_text: str | None):
-    """Load either model flavor; returns (flat model, fault catalogue)."""
+    """Load either model flavor; returns (flat model, fault catalogue or None for own names)."""
     data = modelio.load_any_model(path)
     if "template" in data:
         switched, pattern = modelio.switched_model_from_dict(data)
@@ -58,13 +58,12 @@ def _load_flat_model(path: str, config_text: str | None):
         return instantiate(switched, config), catalogue
     if config_text is not None:
         raise InputError("--config only applies to switched models")
-    model = modelio.structural_model_from_dict(data)
-    return model, {f: f for f in model.faults}
+    return modelio.structural_model_from_dict(data), None
 
 
 def _cmd_analyze(args) -> int:
     model, catalogue = _load_flat_model(args.model, args.config)
-    report = bimmc.aggregate_report(isolability_partition(model), catalogue)
+    report = isolability_partition(model, catalogue)
     sys.stdout.write(pipeline.render_report(report, args.format))
     if args.matrix:
         sys.stdout.write("\nNon-isolability matrix (• = not isolable):\n")

@@ -114,7 +114,7 @@ def _context(setup: bimmc.SensorSetup, reduced: ReducedConfiguration, config: Co
 def _analyze(
     switched: SwitchedModel, catalogue: Mapping[str, str], config: Configuration
 ) -> IsolabilityReport:
-    return bimmc.aggregate_report(isolability_partition(instantiate(switched, config)), catalogue)
+    return isolability_partition(instantiate(switched, config), catalogue)
 
 
 def _reduced_results(
@@ -162,11 +162,12 @@ def compact(
     }
     members = {name: [idx for idx, cls in sm_class.items() if cls == name] for name in names}
     per_sm: dict[int, set[frozenset[str]]] = {}
-    pack_membership: dict[str, str | None] = {
-        f: None for f in sorted(report.detectable) if split_instance_name(f) is None
-    }
+    pack_membership: dict[str, str | None] = {}
     for cell in report.non_isolable_partition:
         if len(cell) < 2:
+            (f,) = cell
+            if split_instance_name(f) is None:
+                pack_membership[f] = None
             continue
         parsed = {f: split_instance_name(f) for f in cell}
         sm_indices = {parts[1] for parts in parsed.values() if parts}

@@ -27,11 +27,13 @@ of Cooper, Harvey & Kennedy, "A simple, fast dominance algorithm" (2001).
 The over sweep walks exactly that digraph, and its postorder is the order
 the dominator pass iterates, so the fine-block pass walks nothing itself.
 Coarse parts and fine blocks are integer codes, one per equation:
-:func:`isolability_partition` groups the faults by their equations' block
-ids, and names are built only by :func:`dm_decompose` and the reports.  A
-whole decomposition costs one matching plus work near-linear in practice in
-the number of incidence edges, all of it iterative, so path lengths are not
-bounded by the recursion limit.
+:func:`isolability_partition` groups the faults' reported names by their
+equations' block ids, and names are built only by :func:`dm_decompose` and
+the reports.  All of it is iterative, so path lengths are not bounded by
+the recursion limit.  The worst cases are quadratic: the matching is O(V·E)
+over V vertices and E incidence edges, and the dominator iteration makes up
+to N+1 passes over the E edges for N overdetermined equations (the comb and
+ladder families in ROADMAP.md).
 
 The public fields of every type are fixed at construction, and all
 operations are pure functions of their inputs.  A model's integer adjacency
@@ -118,23 +120,17 @@ def _transpose(adj: list[list[int]], width: int) -> list[list[int]]:
     return rev
 
 
-def _reguard(base: StructuralModel, changes: Mapping[int, frozenset[str]]) -> StructuralModel:
-    # ``base`` with the unknowns of the rows at the positions ``changes``
-    # keys replaced.  Names, faults and unknowns stay those of ``base``,
-    # whose construction checked them, so they are shared and only the new
-    # rows are checked.  Only the replaced ``_index`` rows are rebuilt.
-    if not changes:
-        return base
-    var_index = {x: j for j, x in enumerate(base.unknowns)}
-    adj = list(base._index)
+def _reguard(base: StructuralModel, patches: Iterable[Iterable[tuple]]) -> StructuralModel:
+    # ``base`` with rows replaced: each patch holds ``(position, row, sorted
+    # integer row)`` triples, built and checked by its caller.  Names, faults
+    # and unknowns stay those of ``base``, whose construction checked them,
+    # so they are shared, and so are the integer rows no patch replaces.
     rows = list(base.rows)
-    for i, row_unknowns in changes.items():
-        eq, _, fault = rows[i]
-        stray = [x for x in row_unknowns if x not in var_index]
-        if stray:
-            raise InputError(f"equation {eq!r} references undeclared unknowns {sorted(stray)}")
-        rows[i] = (eq, row_unknowns, fault)
-        adj[i] = sorted([var_index[x] for x in row_unknowns])
+    adj = list(base._index)
+    for patch in patches:
+        for i, row, adj_row in patch:
+            rows[i] = row
+            adj[i] = adj_row
     model = object.__new__(StructuralModel)
     vars(model).update(
         rows=tuple(rows),
@@ -409,18 +405,10 @@ def _fine_blocks(model: StructuralModel, coarse: _Coarse) -> list[int]:
     return top
 
 
-def _by_block(top: list[int], names: Iterable[str | None]) -> dict[int, list[str]]:
-    # Names, one per equation, grouped by that equation's block id; None
-    # names are skipped, and -1 collects the equations outside every block.
-    groups: dict[int, list[str]] = {}
-    for block, name in zip(top, names):
-        if name is not None:
-            groups.setdefault(block, []).append(name)
-    return groups
-
-
 def _canonical_partition(cells: Iterable[Iterable[str]]) -> tuple[frozenset[str], ...]:
-    return tuple(sorted(map(frozenset, cells), key=sorted))
+    # Cells are disjoint and non-empty, so their least members differ and
+    # order them as their sorted lists would.
+    return tuple(sorted(map(frozenset, cells), key=min))
 
 
 def dm_decompose(model: StructuralModel) -> DmDecomposition:
@@ -444,26 +432,56 @@ def dm_decompose(model: StructuralModel) -> DmDecomposition:
     Harvey & Kennedy, "A simple, fast dominance algorithm" (2001), over
     reverse postorder.  Cost: one matching, whose failed searches give the
     overdetermined part and that postorder, an under sweep only when an
-    unknown is exposed, and a dominator pass over the E incidence edges that
-    is near-linear in practice, with no recursion and no model rebuilt.
+    unknown is exposed, and the dominator iteration, with no recursion and
+    no model rebuilt.  Worst cases: O(V·E) for the matching over V vertices
+    and E incidence edges, and up to N+1 dominator passes over the E edges
+    for N overdetermined equations (the comb and ladder families in ROADMAP.md).
     """
     coarse = _coarse_parts(model)
-    blocks = _by_block(_fine_blocks(model, coarse), model.equations)
-    blocks.pop(-1, None)
+    blocks: dict[int, list[str]] = {}
+    for block, eq in zip(_fine_blocks(model, coarse), model.equations):
+        if block >= 0:
+            blocks.setdefault(block, []).append(eq)
     return DmDecomposition(*_named_parts(model, coarse), _canonical_partition(blocks.values()))
 
 
-def isolability_partition(model: StructuralModel) -> IsolabilityReport:
+def isolability_partition(
+    model: StructuralModel, names: Mapping[str, str] | None = None
+) -> IsolabilityReport:
     """Group detectable faults into maximal mutually-non-isolable sets.
 
     Faults whose equations share a fine block of the overdetermined part
     are mutually non-isolable; all other detectable pairs are isolable.
-    The faults are grouped by their equations' integer block ids, so no
-    equation or block is named on the way.
+    ``names`` maps each fault to the name reports use (by default its own),
+    such as an aggregate for its constituents: a name is detectable when any
+    of its faults is, and the blocks holding one name are merged.  Faults
+    are grouped by integer block ids, so no equation or block is named.
     """
     top = _fine_blocks(model, _coarse_parts(model))
-    cells = _by_block(top, (fault for _, _, fault in model.rows))
-    non_detectable = frozenset(cells.pop(-1, ()))
-    partition = _canonical_partition(cells.values())
-    return IsolabilityReport(frozenset().union(*partition), partition, non_detectable)
+    # Union-find over block ids: each name keeps the first block it appeared
+    # in, and every later block holding it joins that one.
+    parent = list(range(len(top)))
 
+    def find(block: int) -> int:
+        while parent[block] != block:
+            parent[block] = parent[parent[block]]
+            block = parent[block]
+        return block
+
+    home: dict[str, int] = {}
+    hidden: set[str] = set()
+    for block, (_, _, fault) in zip(top, model.rows):
+        if fault is None:
+            continue
+        name = fault if names is None else names.get(fault)
+        if name is None:
+            raise InputError(f"report fault {fault!r} is absent from the catalogue")
+        if block < 0:
+            hidden.add(name)
+        elif home.setdefault(name, block) != block:
+            parent[find(block)] = find(home[name])
+    cells: dict[int, list[str]] = {}
+    for name, block in home.items():
+        cells.setdefault(find(block), []).append(name)
+    partition = _canonical_partition(cells.values())
+    return IsolabilityReport(frozenset(home), partition, frozenset(hidden.difference(home)))

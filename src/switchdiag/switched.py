@@ -14,9 +14,10 @@ produce models that are identical up to instance renaming.
 Flattening is cheap after the first time.  The first configuration a
 switched model is instantiated under is built name by name and kept.  A
 later one differs from it only in the incidence of mode-guarded
-equations, so it is that model with the rows of the changed instances'
-differing equations re-guarded; names, faults and every other row's
-integer adjacency are shared, and no reverse adjacency is built.
+equations, so it is that model with one patch applied per instance whose
+mode changed: the name rows and sorted integer rows of the instance's
+equations whose variant differs.  Each (instance, mode) patch is built
+once and cached; names, faults and every other row are shared.
 """
 
 from collections.abc import Mapping, Sequence
@@ -161,15 +162,16 @@ class SwitchedModel:
     """``n`` template instances plus global equations over shared unknowns.
 
     The first configuration :func:`instantiate` flattens successfully is
-    kept, its modes and its model, as the base later configurations
-    re-guard.
+    kept as the base later configurations re-guard: its modes, its model,
+    its unknowns' positions and the patches built from it so far, keyed by
+    (instance, mode).
     """
 
     template: SubmoduleTemplate
     n: int
     global_equations: tuple[GlobalEquation, ...]
     shared_unknowns: tuple[str, ...]
-    _first: tuple[tuple[str, ...], StructuralModel] | None = field(
+    _first: tuple[tuple[str, ...], StructuralModel, dict[str, int], dict] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -253,9 +255,9 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
 
     The first configuration of ``switched`` is built name by name, which
     checks every name for collisions.  Names do not depend on the modes,
-    so a later configuration starts from that model and re-guards only the
-    rows whose incidence differs: the equations whose variant changes with
-    an instance's mode.  The result is the same either way.
+    so a later configuration starts from that model and applies, for each
+    instance whose mode differs, the cached patch of that instance and
+    mode.  The result is the same either way.
     """
     template = switched.template
     if len(config.modes) != switched.n:
@@ -269,22 +271,40 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
     first = switched._first
     if first is None:
         model = _instantiate_by_name(switched, config.modes)
-        object.__setattr__(switched, "_first", (config.modes, model))
+        var_index = {x: j for j, x in enumerate(model.unknowns)}
+        object.__setattr__(switched, "_first", (config.modes, model, var_index, {}))
         return model
-    first_modes, base = first
-    local = set(template.local_unknowns)
-    width = len(template.equations)
-    changes: dict[int, frozenset[str]] = {}
+    first_modes, base, _, patches = first
+    changed = []
     for k, (mode, was) in enumerate(zip(config.modes, first_modes), start=1):
-        if mode == was:
-            continue
-        for e, eq in enumerate(template.equations):
-            variant = eq.variants[mode]
-            if variant != eq.variants[was]:
-                changes[(k - 1) * width + e] = frozenset(
-                    instance_name(x, k) if x in local else x for x in variant
-                )
-    return _reguard(base, changes)
+        if mode != was:
+            patch = patches.get((k, mode))
+            if patch is None:
+                patch = patches[k, mode] = _patch(template, first, k, mode)
+            changed.append(patch)
+    return _reguard(base, changed)
+
+
+def _patch(template: SubmoduleTemplate, first: tuple, k: int, mode: str) -> tuple:
+    # The rows of instance k's equations whose variant under ``mode`` differs
+    # from the one the first model was built with: each as its position, its
+    # row and its sorted integer row.
+    first_modes, base, var_index, _ = first
+    was = first_modes[k - 1]
+    local = set(template.local_unknowns)
+    offset = (k - 1) * len(template.equations)
+    patch = []
+    for e, eq in enumerate(template.equations):
+        variant = eq.variants[mode]
+        if variant != eq.variants[was]:
+            name, _, fault = base.rows[offset + e]
+            row_unknowns = frozenset(instance_name(x, k) if x in local else x for x in variant)
+            stray = row_unknowns.difference(var_index)
+            if stray:
+                raise InputError(f"equation {name!r} references undeclared unknowns {sorted(stray)}")
+            adj_row = sorted([var_index[x] for x in row_unknowns])
+            patch.append((offset + e, (name, row_unknowns, fault), adj_row))
+    return tuple(patch)
 
 
 def _instantiate_by_name(switched: SwitchedModel, modes: Sequence[str]) -> StructuralModel:

@@ -124,9 +124,7 @@ def test_criterion_3_two_inserted_partition():
     with criterion(3, 'setup II, n=3, configuration "IIB" aggregated partition', 1.0):
         switched, catalogue = bimmc.generate(3, "II")
         config = parse_configuration(switched.template, "IIB", 3)
-        report = bimmc.aggregate_report(
-            isolability_partition(instantiate(switched, config)), catalogue
-        )
+        report = isolability_partition(instantiate(switched, config), catalogue)
         assert set(report.non_isolable_partition) == {
             frozenset({"f_cell,1"}),
             frozenset({"f_vcell,1"}),
@@ -161,9 +159,8 @@ def test_criterion_5_reduction_soundness():
             models[setup], catalogues[setup] = bimmc.generate(3, setup)
 
         def analyzed(setup, config):
-            report = bimmc.aggregate_report(
-                isolability_partition(instantiate(models[setup], config)),
-                catalogues[setup],
+            report = isolability_partition(
+                instantiate(models[setup], config), catalogues[setup]
             )
             return canonical_report(report, config, classes)
 

@@ -8,17 +8,13 @@ from switchdiag.bimmc import (
     SETUPS,
     CellParameters,
     SensorSetup,
-    aggregate_report,
     build_catalogue,
     generate,
     sensor_setup,
 )
 from switchdiag.errors import InputError
 from switchdiag.oraclecheck import random_model
-from switchdiag.structural import (
-    IsolabilityReport,
-    isolability_partition,
-)
+from switchdiag.structural import StructuralModel, isolability_partition
 from switchdiag.switched import Configuration, instantiate
 
 EXPECTED_COUNTS = {"I": lambda n: 10 * n + 2, "II": lambda n: 10 * n + 3,
@@ -153,7 +149,7 @@ class TestDetectability:
 class TestIsolabilityAgainstKnownResults:
     def test_setup_two_config_iib_aggregated_partition(self):
         model, catalogue = flat("II", 3, ("forward", "forward", "bypass1"))
-        report = aggregate_report(isolability_partition(model), catalogue)
+        report = isolability_partition(model, catalogue)
         assert set(report.non_isolable_partition) == {
             frozenset({"f_cell,1"}),
             frozenset({"f_vcell,1"}),
@@ -174,32 +170,34 @@ class TestIsolabilityAgainstKnownResults:
 
 
 class TestAggregateReport:
+    """``isolability_partition(model, names)`` reports each fault under its catalogue name."""
+
     def test_unknown_fault_rejected(self):
         _, catalogue = flat("I", 1)
-        report = IsolabilityReport(
-            frozenset({"f_alien"}), (frozenset({"f_alien"}),), frozenset()
-        )
-        with pytest.raises(InputError):
-            aggregate_report(report, catalogue)
+        model = StructuralModel((("e1", {"x"}, "f_alien"), ("e2", {"x"}, None)), ("x",))
+        with pytest.raises(InputError, match="'f_alien' is absent from the catalogue"):
+            isolability_partition(model, catalogue)
 
     def test_disjoint_unique_aggregates_stay_unique(self):
-        catalogue = {"a1": "A", "a2": "A", "b1": "b1", "p": "p"}
-        report = IsolabilityReport(
-            frozenset({"a1", "a2", "b1", "p"}),
-            (frozenset({"a1"}), frozenset({"a2"}), frozenset({"b1"}), frozenset({"p"})),
-            frozenset(),
+        # Three or more equations over one unknown are pairwise isolable.
+        faults = ("a1", "a2", "b1", "p")
+        model = StructuralModel(tuple((f"e_{f}", {"x"}, f) for f in faults), ("x",))
+        assert isolability_partition(model).non_isolable_partition == tuple(
+            frozenset({f}) for f in faults
         )
-        merged = aggregate_report(report, catalogue)
+        catalogue = {"a1": "A", "a2": "A", "b1": "b1", "p": "p"}
+        merged = isolability_partition(model, catalogue)
         assert set(merged.non_isolable_partition) == {
             frozenset({"A"}), frozenset({"b1"}), frozenset({"p"}),
         }
 
     def test_detectable_when_any_constituent_detectable(self):
-        catalogue = {"a1": "A", "a2": "A"}
-        report = IsolabilityReport(
-            frozenset({"a1"}), (frozenset({"a1"}),), frozenset({"a2"})
+        model = StructuralModel(
+            (("e1", {"x"}, "a1"), ("e2", {"x"}, None), ("e3", {"y"}, "a2")), ("x", "y")
         )
-        merged = aggregate_report(report, catalogue)
+        report = isolability_partition(model)
+        assert report.detectable == {"a1"} and report.non_detectable == {"a2"}
+        merged = isolability_partition(model, {"a1": "A", "a2": "A"})
         assert merged.detectable == {"A"}
         assert merged.non_detectable == frozenset()
 
@@ -225,7 +223,7 @@ class TestAggregateReport:
                 (f, aggregate) for aggregate, group in aggregation.items() for f in group
             )
             report = isolability_partition(model)
-            merged = aggregate_report(report, catalogue)
+            merged = isolability_partition(model, catalogue)
 
             # Naive merge: repeatedly join cells sharing an aggregate.
             cells = [set(c) for c in report.non_isolable_partition]
@@ -243,10 +241,14 @@ class TestAggregateReport:
                 frozenset(catalogue[f] for f in cell) for cell in cells
             }
             assert set(merged.non_isolable_partition) == expected
+            assert merged.detectable == {catalogue[f] for f in report.detectable}
+            assert merged.non_detectable == (
+                {catalogue[f] for f in report.non_detectable} - merged.detectable
+            )
 
     def test_identity_catalogue_leaves_report_unchanged(self):
         rng = random.Random(7)
         for _ in range(60):
             model = random_model(rng, max_equations=10, max_unknowns=8)
             report = isolability_partition(model)
-            assert aggregate_report(report, {f: f for f in model.faults}) == report
+            assert isolability_partition(model, {f: f for f in model.faults}) == report

@@ -355,7 +355,7 @@ class TestErrorContext:
         cross = frozenset({"f_vcell,1", "f_vcell,2"})
         monkeypatch.setattr(
             pipeline, "isolability_partition",
-            lambda model: IsolabilityReport(cross, (cross,), frozenset()),
+            lambda model, names=None: IsolabilityReport(cross, (cross,), frozenset()),
         )
         with pytest.raises(InternalConsistencyError) as excinfo:
             pipeline.sweep(2, ["III"])
@@ -370,11 +370,11 @@ class TestErrorContext:
         calls = []
         real = pipeline.isolability_partition
 
-        def failing_on_fourth(model):
+        def failing_on_fourth(model, names=None):
             calls.append(model)
             if len(calls) == 4:
                 raise InternalConsistencyError("forced")
-            return real(model)
+            return real(model, names)
 
         monkeypatch.setattr(pipeline, "isolability_partition", failing_on_fourth)
         with pytest.raises(InternalConsistencyError) as excinfo:

@@ -311,9 +311,7 @@ class TestResidualsBackTheStructuralVerdict:
     def test_detectability_and_isolability(self, mode, sensors):
         switched, catalogue = bimmc.generate(1, self.SETUPS[sensors])
         config = parse_configuration(switched.template, self.MODES[mode], 1)
-        report = bimmc.aggregate_report(
-            isolability_partition(instantiate(switched, config)), catalogue
-        )
+        report = isolability_partition(instantiate(switched, config), catalogue)
         signals = ["f_iout"] + ["f_icell"] * ("cell_current" in sensors)
         responses = {s: self.responding(mode, sensors, s) for s in signals}
         for signal in signals:

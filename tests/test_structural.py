@@ -231,6 +231,36 @@ def chain_model(length: int, extra_tail: bool = False) -> StructuralModel:
     return model_of(incidence)
 
 
+def ladder_model(rungs: int) -> StructuralModel:
+    """Rungs v_i = {y_(i-1), y_i, y_(i+1)} within y_1..y_N, and end sensors a = {y_1}, b = {y_N}.
+
+    Every equation is its own fine block, and the dominator iteration needs
+    about N passes to prove it.
+    """
+    rows = [(f"v{i}", {f"y{j}" for j in (i - 1, i, i + 1) if 1 <= j <= rungs}, None)
+            for i in range(1, rungs + 1)]
+    rows += [("a", {"y1"}, None), ("b", {f"y{rungs}"}, None)]
+    return StructuralModel(tuple(rows), tuple(f"y{j}" for j in range(1, rungs + 1)))
+
+
+def comb_model(teeth: int) -> StructuralModel:
+    """A dead end d_i = {z_i, z_(i+1)}, d_N = {z_N}, then h_j = {w_j, t_j}, g_j = {z_1, w_j}.
+
+    The greedy pass matches the dead end and every h_j, and each g_j's
+    augmenting-path search walks the whole dead end before it succeeds.
+    """
+    rows = [(f"d{i}", {f"z{i}", f"z{i + 1}"} if i < teeth else {f"z{i}"}, None)
+            for i in range(1, teeth + 1)]
+    for j in range(1, teeth + 1):
+        rows += [(f"h{j}", {f"w{j}", f"t{j}"}, None), (f"g{j}", {"z1", f"w{j}"}, None)]
+    unknowns = [f"{x}{i}" for x in "zwt" for i in range(1, teeth + 1)]
+    return StructuralModel(tuple(rows), tuple(unknowns))
+
+
+def reversed_model(model: StructuralModel) -> StructuralModel:
+    return StructuralModel(model.rows[::-1], model.unknowns[::-1])
+
+
 def partition_from_decomposition(model, dm):
     """Isolability read off a decomposition: a fault is detectable when its
     equation is overdetermined, and faults group by their equations' blocks."""
@@ -339,6 +369,41 @@ class TestAgainstDefinitionalReference:
             reference = definitional_dm_decompose(model)
             assert dm_decompose(model) == reference, index
             assert isolability_partition(model) == partition_from_decomposition(model, reference)
+
+
+class TestQuadraticFamilies:
+    """The ladder makes the dominator iteration and the comb makes the matching
+    quadratic; both are exact, checked at small N as declared and reversed."""
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_ladder_matches_definition(self, size):
+        model = ladder_model(size)
+        dm = dm_decompose(model)
+        assert dm.fine_blocks == tuple(sorted((frozenset({e}) for e in model.equations), key=min))
+        assert dm == definitional_dm_decompose(model)
+        flipped = reversed_model(model)
+        assert dm_decompose(flipped) == definitional_dm_decompose(flipped) == dm
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_comb_matches_definition(self, size):
+        model = comb_model(size)
+        assert len(max_matching(model)) == 3 * size == _oracle_matching_size(model)
+        dm = dm_decompose(model)
+        assert dm.just.equations == frozenset(model.equations)
+        assert dm == definitional_dm_decompose(model)
+        flipped = reversed_model(model)
+        assert dm_decompose(flipped) == definitional_dm_decompose(flipped) == dm
+
+
+class TestCanonicalPartition:
+    @given(st.lists(st.frozensets(st.text("ab,01", max_size=3), min_size=1), max_size=10))
+    def test_least_member_orders_disjoint_cells_as_their_sorted_lists(self, cells):
+        disjoint, seen = [], set()
+        for cell in cells:
+            if cell - seen:
+                disjoint.append(cell - seen)
+                seen |= cell
+        assert structural._canonical_partition(disjoint) == tuple(sorted(disjoint, key=sorted))
 
 
 class TestLongAugmentingPaths:

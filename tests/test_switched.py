@@ -9,7 +9,7 @@ import pytest
 from switchdiag import bimmc
 from switchdiag.errors import InputError
 from switchdiag.pipeline import compact
-from switchdiag.structural import IsolabilityReport, _reguard, isolability_partition
+from switchdiag.structural import IsolabilityReport, isolability_partition
 from switchdiag.switched import (
     Configuration,
     GlobalEquation,
@@ -248,10 +248,17 @@ class TestReguard:
                 assert_same_model(model, _instantiate_by_name(switched, config.modes))
 
     def test_first_configuration_leaves_equality_alone(self, fb_switched):
+        # Neither the first model nor the patches cached by re-guarded
+        # configurations take part in SwitchedModel equality.
         parts = (fb_switched.template, 3, fb_switched.global_equations, fb_switched.shared_unknowns)
         one, other = SwitchedModel(*parts), SwitchedModel(*parts)
         config = Configuration(("forward", "bypass1", "backward"))
         instantiate(one, Configuration(("bypass2",) * 3))
+        assert one == other
+        assert instantiate(one, config) == instantiate(other, config)
+        for modes in itertools.product(bimmc.MODES, repeat=3):
+            assert instantiate(one, Configuration(modes)) == _instantiate_by_name(one, modes)
+        assert one._first[3] and not other._first[3]
         assert one == other
         assert instantiate(one, config) == instantiate(other, config)
 
@@ -289,9 +296,21 @@ class TestInstantiateRefusals:
             instantiate(switched, Configuration(("forward", "sideways", "bypass1")))
 
     def test_reguard_refuses_undeclared_unknown(self, fb_switched):
-        base = instantiate(fb_switched, Configuration(("forward",) * 3))
+        # The switched model checked its template when it was built, so the
+        # variant is edited afterwards; the patch that uses it refuses it.
+        template = fb_switched.template
+        equations = tuple(ModeGuardedEquation(eq.id, eq.variants, eq.fault) for eq in template.equations)
+        switched = SwitchedModel(
+            SubmoduleTemplate(template.modes, equations, template.local_unknowns),
+            3,
+            fb_switched.global_equations,
+            fb_switched.shared_unknowns,
+        )
+        instantiate(switched, Configuration(("forward",) * 3))
+        e9 = next(eq for eq in equations if eq.id == "e9")
+        e9.variants["bypass1"] = frozenset({"v_sm", "v_ghost"})
         with pytest.raises(InputError, match=r"'e9,2'.*'v_ghost'"):
-            _reguard(base, {base.equations.index("e9,2"): frozenset({"v_sm,2", "v_ghost"})})
+            instantiate(switched, Configuration(("forward", "bypass1", "forward")))
 
 
 class TestCanonicalize:
