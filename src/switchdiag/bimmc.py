@@ -243,19 +243,13 @@ def build_catalogue(
         for fault in constituents:
             if aggregate_by_fault.setdefault(fault, aggregate) != aggregate:
                 raise InputError("aggregation cells must be disjoint")
-    instances = range(1, switched.n + 1)
-    catalogue = {
-        instance_name(f, k): instance_name(aggregate_by_fault.get(f, f), k)
-        for k in instances
-        for f in template_faults
-    }
+    reported = [(f, aggregate_by_fault.get(f, f)) for f in template_faults]
+    suffixes = [instance_name("", k) for k in range(1, switched.n + 1)]
+    catalogue = {f + suffix: name + suffix for suffix in suffixes for f, name in reported}
     catalogue.update(
         (geq.fault, geq.fault) for geq in switched.global_equations if geq.fault is not None
     )
-    for k in instances:
-        for aggregate in aggregation_pattern:
-            if instance_name(aggregate, k) in catalogue:
-                raise InputError(
-                    f"aggregate name {instance_name(aggregate, k)!r} collides with a model fault"
-                )
+    clash = next((a + s for s in suffixes for a in aggregation_pattern if a + s in catalogue), None)
+    if clash is not None:
+        raise InputError(f"aggregate name {clash!r} collides with a model fault")
     return catalogue

@@ -9,11 +9,13 @@ Subcommands:
 * ``oracle-check``  randomized validation of the DM core
 * ``residual``      simulate a fault scenario and write residual traces
 
-Exit codes: 0 success, 2 input error, 3 internal consistency error.
+Exit codes: 0 success, 2 input error, 3 internal consistency error, 141
+when the reader closes standard output early.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import bimmc, modelio, pipeline
@@ -24,6 +26,7 @@ from .switched import instantiate, parse_configuration
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 _SETUP_PRESET = "bimmc:"
 
@@ -202,7 +205,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does; devnull takes the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

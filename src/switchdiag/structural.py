@@ -38,9 +38,10 @@ ladder families in ROADMAP.md).
 The public fields of every type are fixed at construction, and all
 operations are pure functions of their inputs.  A model's integer adjacency
 and its name-keyed ``incidence``, and a report's fault-to-cell index, are
-caches filled on first use; a re-guarded model shares the adjacency rows it
-leaves unchanged.  No result depends on a cache or on the order of calls, so
-models and reports can be shared freely across threads.
+caches filled on first use; a flattened switched model comes with its
+adjacency, and a re-guarded one shares the rows it leaves unchanged.  No
+result depends on a cache or on the order of calls, so models and reports
+can be shared freely across threads.
 """
 
 from collections import Counter
@@ -120,6 +121,21 @@ def _transpose(adj: list[list[int]], width: int) -> list[list[int]]:
     return rev
 
 
+def _trusted(rows: tuple, unknowns: tuple, adj: list, base: StructuralModel | None = None):
+    # A model whose caller made StructuralModel's checks: unique names, rows
+    # within ``unknowns``.  ``adj`` is its sorted integer adjacency, so
+    # ``_index`` is never derived from names; a model named as ``base``
+    # shares its equations and faults.
+    fault_map = {f: eq for eq, _, f in rows if f is not None} if base is None else base.fault_map
+    model = object.__new__(StructuralModel)
+    vars(model).update(
+        rows=rows, unknowns=unknowns, _index=adj, fault_map=fault_map,
+        equations=tuple(eq for eq, _, _ in rows) if base is None else base.equations,
+        faults=tuple(fault_map) if base is None else base.faults,
+    )
+    return model
+
+
 def _reguard(base: StructuralModel, patches: Iterable[Iterable[tuple]]) -> StructuralModel:
     # ``base`` with rows replaced: each patch holds ``(position, row, sorted
     # integer row)`` triples, built and checked by its caller.  Names, faults
@@ -131,16 +147,7 @@ def _reguard(base: StructuralModel, patches: Iterable[Iterable[tuple]]) -> Struc
         for i, row, adj_row in patch:
             rows[i] = row
             adj[i] = adj_row
-    model = object.__new__(StructuralModel)
-    vars(model).update(
-        rows=tuple(rows),
-        unknowns=base.unknowns,
-        equations=base.equations,
-        faults=base.faults,
-        fault_map=base.fault_map,
-        _index=adj,
-    )
-    return model
+    return _trusted(tuple(rows), base.unknowns, adj, base)
 
 
 class PartPair(NamedTuple):

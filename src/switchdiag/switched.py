@@ -11,21 +11,22 @@ modes with identical equation structure collapse into structural mode
 classes, and configurations that agree on the per-class instance counts
 produce models that are identical up to instance renaming.
 
-Flattening is cheap after the first time.  The first configuration a
-switched model is instantiated under is built name by name and kept.  A
-later one differs from it only in the incidence of mode-guarded
-equations, so it is that model with one patch applied per instance whose
-mode changed: the name rows and sorted integer rows of the instance's
-equations whose variant differs.  Each (instance, mode) patch is built
-once and cached; names, faults and every other row are shared.
+Flattening works on integer offsets: instance k's local unknown j is flat
+unknown (k-1)*L + j, the shared ones follow all n*L locals, and each
+instance's rows and sorted integer rows are emitted together.  The first
+configuration flattened is kept; a later one is that model with one cached
+patch per instance whose mode changed: the name rows and sorted integer
+rows of the instance's equations whose variant differs.  Names, faults and
+every other row are shared.
 """
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import InputError
-from .structural import StructuralModel, _reguard, _unique
+from .structural import StructuralModel, _reguard, _trusted, _unique
 
 __all__ = [
     "Configuration",
@@ -73,9 +74,13 @@ class ModeGuardedEquation:
     fault: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "variants", {m: frozenset(v) for m, v in dict(self.variants).items()}
-        )
+        # A read-only copy, so the checks SwitchedModel makes once are final.
+        variants = {m: frozenset(v) for m, v in dict(self.variants).items()}
+        object.__setattr__(self, "variants", MappingProxyType(variants))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; its dict can.
+        return type(self), (self.id, dict(self.variants), self.fault)
 
     @classmethod
     def uniform(
@@ -162,16 +167,15 @@ class SwitchedModel:
     """``n`` template instances plus global equations over shared unknowns.
 
     The first configuration :func:`instantiate` flattens successfully is
-    kept as the base later configurations re-guard: its modes, its model,
-    its unknowns' positions and the patches built from it so far, keyed by
-    (instance, mode).
+    kept as the base later configurations re-guard: its modes, its model
+    and the patches built from it so far, keyed by (instance, mode).
     """
 
     template: SubmoduleTemplate
     n: int
     global_equations: tuple[GlobalEquation, ...]
     shared_unknowns: tuple[str, ...]
-    _first: tuple[tuple[str, ...], StructuralModel, dict[str, int], dict] | None = field(
+    _first: tuple[tuple[str, ...], StructuralModel, dict] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -253,11 +257,11 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
     equations follow unchanged, with per-instance unknowns expanded over
     all instances.
 
-    The first configuration of ``switched`` is built name by name, which
-    checks every name for collisions.  Names do not depend on the modes,
-    so a later configuration starts from that model and applies, for each
-    instance whose mode differs, the cached patch of that instance and
-    mode.  The result is the same either way.
+    The first configuration of ``switched`` is built by integer offsets,
+    and its names are checked only where they can collide.  Names do not
+    depend on the modes, so a later configuration starts from that model
+    and applies, for each instance whose mode differs, the cached patch of
+    that instance and mode.  The result is the same either way.
     """
     template = switched.template
     if len(config.modes) != switched.n:
@@ -270,69 +274,101 @@ def instantiate(switched: SwitchedModel, config: Configuration) -> StructuralMod
 
     first = switched._first
     if first is None:
-        model = _instantiate_by_name(switched, config.modes)
-        var_index = {x: j for j, x in enumerate(model.unknowns)}
-        object.__setattr__(switched, "_first", (config.modes, model, var_index, {}))
+        model = _flatten(switched, config.modes)
+        object.__setattr__(switched, "_first", (config.modes, model, {}))
         return model
-    first_modes, base, _, patches = first
+    first_modes, base, patches = first
     changed = []
     for k, (mode, was) in enumerate(zip(config.modes, first_modes), start=1):
         if mode != was:
             patch = patches.get((k, mode))
             if patch is None:
-                patch = patches[k, mode] = _patch(template, first, k, mode)
+                patch = patches[k, mode] = _patch(switched, base, k, mode, was)
             changed.append(patch)
     return _reguard(base, changed)
 
 
-def _patch(template: SubmoduleTemplate, first: tuple, k: int, mode: str) -> tuple:
-    # The rows of instance k's equations whose variant under ``mode`` differs
-    # from the one the first model was built with: each as its position, its
-    # row and its sorted integer row.
-    first_modes, base, var_index, _ = first
-    was = first_modes[k - 1]
-    local = set(template.local_unknowns)
-    offset = (k - 1) * len(template.equations)
-    patch = []
-    for e, eq in enumerate(template.equations):
-        variant = eq.variants[mode]
-        if variant != eq.variants[was]:
-            name, _, fault = base.rows[offset + e]
-            row_unknowns = frozenset(instance_name(x, k) if x in local else x for x in variant)
-            stray = row_unknowns.difference(var_index)
-            if stray:
-                raise InputError(f"equation {name!r} references undeclared unknowns {sorted(stray)}")
-            adj_row = sorted([var_index[x] for x in row_unknowns])
-            patch.append((offset + e, (name, row_unknowns, fault), adj_row))
-    return tuple(patch)
+def _resolver(switched: SwitchedModel):
+    # Resolves a variant into the sorted offsets of its locals within an
+    # instance and the sorted indices of its shared unknowns, which follow
+    # all n instances' locals.  SwitchedModel checked every variant's names.
+    width = len(switched.template.local_unknowns)
+    local = {x: j for j, x in enumerate(switched.template.local_unknowns)}
+    shared = {x: switched.n * width + s for s, x in enumerate(switched.shared_unknowns)}
+    return lambda variant: (
+        sorted([local[x] for x in variant if x in local]),
+        sorted([shared[x] for x in variant if x in shared]),
+    )
 
 
-def _instantiate_by_name(switched: SwitchedModel, modes: Sequence[str]) -> StructuralModel:
-    # Rows stay a list, so StructuralModel sees any equation or fault name
-    # collision between instances and global equations and refuses it.
-    template = switched.template
-    local = set(template.local_unknowns)
-    rows: list[tuple[str, frozenset[str], str | None]] = []
-    for k, mode in enumerate(modes, start=1):
-        for eq in template.equations:
-            rows.append((
-                instance_name(eq.id, k),
-                frozenset(instance_name(x, k) if x in local else x for x in eq.variants[mode]),
-                None if eq.fault is None else instance_name(eq.fault, k),
-            ))
+def _collides(switched: SwitchedModel) -> bool:
+    # Whether flattening repeats an equation, unknown or fault name.  Instance
+    # k suffixes the template's names with ",k", so a name can repeat only
+    # among the template's or the pack's (global ids and faults, shared
+    # unknowns), or as a pack name that splits at its last comma into a
+    # template name and a tail "1".."n".
+    template, global_equations = switched.template, switched.global_equations
+    tails = {str(k) for k in range(1, switched.n + 1)}
+    for bases, names in (
+        ([eq.id for eq in template.equations], [geq.id for geq in global_equations]),
+        (template.local_unknowns, switched.shared_unknowns),
+        ([eq.fault for eq in template.equations if eq.fault is not None],
+         [geq.fault for geq in global_equations if geq.fault is not None]),
+    ):
+        unique = set(bases)
+        if len(unique) < len(bases) or len(set(names)) < len(names) or any(
+            sep and base in unique and tail in tails
+            for base, sep, tail in (name.rpartition(",") for name in names)
+        ):
+            return True
+    return False
+
+
+def _flatten(switched: SwitchedModel, modes: Sequence[str]) -> StructuralModel:
+    # Each (template equation, mode) is resolved once; each instance's rows
+    # and sorted integer rows are then emitted together.
+    template, resolve = switched.template, _resolver(switched)
+    resolved = {
+        mode: [(eq.id, eq.fault, *resolve(eq.variants[mode])) for eq in template.equations]
+        for mode in set(modes)
+    }
+    suffixes = [instance_name("", k) for k in range(1, switched.n + 1)]
+    unknowns = tuple([x + sfx for sfx in suffixes for x in template.local_unknowns])
+    unknowns += switched.shared_unknowns
+    at = unknowns.__getitem__
+    starts = [k * len(template.local_unknowns) for k in range(switched.n)]
+    rows, adj = [], []
+    for start, suffix, mode in zip(starts, suffixes, modes):
+        for eq_id, fault, local, shared in resolved[mode]:
+            adj.append([start + j for j in local] + shared)
+            fault = None if fault is None else fault + suffix
+            rows.append((eq_id + suffix, frozenset(map(at, adj[-1])), fault))
     for geq in switched.global_equations:
-        expanded = set(geq.unknowns)
-        for base in geq.per_instance:
-            expanded.update(instance_name(base, k) for k in range(1, switched.n + 1))
-        rows.append((geq.id, frozenset(expanded), geq.fault))
+        local = resolve(geq.per_instance)[0]
+        adj.append([start + j for start in starts for j in local] + resolve(geq.unknowns)[1])
+        rows.append((geq.id, frozenset(map(at, adj[-1])), geq.fault))
+    if _collides(switched):
+        # Refused as StructuralModel refuses a repeated name: equations first,
+        # then unknowns, then faults.
+        return StructuralModel(rows=tuple(rows), unknowns=unknowns)
+    return _trusted(tuple(rows), unknowns, adj)
 
-    unknowns = [
-        instance_name(x, k)
-        for k in range(1, switched.n + 1)
-        for x in template.local_unknowns
-    ]
-    unknowns.extend(switched.shared_unknowns)
-    return StructuralModel(rows=tuple(rows), unknowns=tuple(unknowns))
+
+def _patch(switched: SwitchedModel, base: StructuralModel, k: int, mode: str, was: str) -> tuple:
+    # The rows of instance k's equations whose variant under ``mode`` differs
+    # from the one under ``was``, the mode the first model ``base`` was built
+    # with: each as its position, its row and its sorted integer row.
+    template, resolve = switched.template, _resolver(switched)
+    start, offset = (k - 1) * len(template.local_unknowns), (k - 1) * len(template.equations)
+    patch = []
+    for e, eq in enumerate(template.equations, start=offset):
+        if eq.variants[mode] != eq.variants[was]:
+            name, _, fault = base.rows[e]
+            local, shared = resolve(eq.variants[mode])
+            adj_row = [start + j for j in local] + shared
+            row = (name, frozenset(map(base.unknowns.__getitem__, adj_row)), fault)
+            patch.append((e, row, adj_row))
+    return tuple(patch)
 
 
 def mode_class(template_classes: Sequence[frozenset[str]], mode: str) -> int:

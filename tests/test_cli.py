@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import switchdiag
 from switchdiag import bimmc, modelio, oraclecheck, pipeline
-from switchdiag.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from switchdiag.cli import EXIT_BROKEN_PIPE, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from switchdiag.errors import InputError, InternalConsistencyError
 from switchdiag.residuals import MAX_STEPS, FaultStep
 from switchdiag.structural import IsolabilityReport
@@ -81,6 +81,54 @@ def test_structural_command_loads_no_numpy(tmp_path, capsys, argv):
         check=True,
     )
     assert result.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_quietly(tmp_path, capsys, unbuffered):
+    # The reader takes one line and closes the pipe, as ``| head -1`` does;
+    # the 0.4 MB matrix cannot fit in the pipe, so a later write meets it
+    # closed, and so does the flush at exit when stdout is buffered.
+    path = tmp_path / "n64.json"
+    code, _, _ = run_cli(capsys, "generate", "--n", "64", "--setup", "IV", "--out", str(path))
+    assert code == EXIT_OK
+    src = str(Path(switchdiag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONUNBUFFERED": unbuffered}
+    argv = ["analyze", "--model", str(path), "--config", "I" * 32 + "B" * 32, "--matrix"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "switchdiag.cli", *argv], env=env, bufsize=0,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"Detectable faults: 194\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_stdout_closed_before_output_ends_quietly(unbuffered):
+    # The pipe's reader is gone before the command starts; buffered, the
+    # short table waits in the buffer until main flushes it.
+    src = str(Path(switchdiag.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "switchdiag.cli", "sweep", "--n", "2"], env=env, stdout=write,
+            stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == EXIT_BROKEN_PIPE
+    assert result.stderr == b""
 
 
 def test_package_serves_residual_names():
@@ -564,6 +612,29 @@ class TestMalformedSwitchedModel:
         code, out, err = run_cli(capsys, "analyze", "--model", str(path), "--config", config)
         assert_input_error(code, err)
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_set("fault_aggregation", "f_other", ["f_Ro"]), "aggregation cells must be disjoint"),
+        (_set("fault_aggregation", "f_x", ["f_nope"]),
+         "aggregation pattern references unknown faults ['f_nope']"),
+        (_set("global_equations", 1, "fault", "f_cell,2"),
+         "aggregate name 'f_cell,2' collides with a model fault"),
+    ], ids=["fault-in-two-aggregates", "unknown-fault", "aggregate-name-collision"])
+    def test_dm_refuses_malformed_aggregation_as_analyze_does(
+        self, capsys, tmp_path, mutate, message
+    ):
+        # dm reports no fault names, but the model file is refused all the same.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(_switched_payload(mutate)))
+        results = [
+            run_cli(capsys, command, "--model", str(path), "--config", "IB")
+            for command in ("analyze", "dm")
+        ]
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert_input_error(code, err)
+        assert err == f"error: {message}\n"
         assert out == ""
 
     def test_mode_letter_of_two_characters_is_input_error(self, capsys, tmp_path):

@@ -1,10 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import sys
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from switchdiag import bimmc
 from switchdiag.errors import InputError
@@ -24,7 +27,7 @@ from switchdiag.switched import (
     representative_configuration,
     structural_mode_classes,
 )
-from switchdiag.switched import _instantiate_by_name
+from .by_name import instantiate_by_name
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +169,7 @@ def assert_same_model(got, want):
 def assert_reguard_matches(switched, configs):
     """Instantiate ``configs`` in order on one switched model, each against a by-name build."""
     for config in configs:
-        assert_same_model(instantiate(switched, config), _instantiate_by_name(switched, config.modes))
+        assert_same_model(instantiate(switched, config), instantiate_by_name(switched, config.modes))
 
 
 class TestReguard:
@@ -245,7 +248,7 @@ class TestReguard:
         assert sorted(results) == list(range(6))
         for pairs in results.values():
             for config, model in pairs:
-                assert_same_model(model, _instantiate_by_name(switched, config.modes))
+                assert_same_model(model, instantiate_by_name(switched, config.modes))
 
     def test_first_configuration_leaves_equality_alone(self, fb_switched):
         # Neither the first model nor the patches cached by re-guarded
@@ -257,10 +260,158 @@ class TestReguard:
         assert one == other
         assert instantiate(one, config) == instantiate(other, config)
         for modes in itertools.product(bimmc.MODES, repeat=3):
-            assert instantiate(one, Configuration(modes)) == _instantiate_by_name(one, modes)
-        assert one._first[3] and not other._first[3]
+            assert instantiate(one, Configuration(modes)) == instantiate_by_name(one, modes)
+        assert one._first[2] and not other._first[2]
         assert one == other
         assert instantiate(one, config) == instantiate(other, config)
+
+
+def fresh(switched: SwitchedModel) -> SwitchedModel:
+    """The same switched model with no first configuration built yet."""
+    return SwitchedModel(
+        switched.template, switched.n, switched.global_equations, switched.shared_unknowns
+    )
+
+
+def assert_first_build_matches(switched, modes):
+    """The first, offset-built model equals the by-name one, or both refuse alike."""
+    try:
+        want = instantiate_by_name(fresh(switched), modes)
+    except InputError as exc:
+        with pytest.raises(InputError) as refused:
+            instantiate(fresh(switched), Configuration(modes))
+        assert str(refused.value) == str(exc)
+        return str(exc)
+    got = instantiate(fresh(switched), Configuration(modes))
+    # Built with its adjacency, which is never derived from names.
+    assert "_index" in vars(got)
+    assert_same_model(got, want)
+    return None
+
+
+# Names that instance suffixes can reach: bare, suffixed, zero-padded and
+# holding a comma themselves.
+_NAMES = ("a", "b", "a,1", "a,2", "a,01", "a,1,2", "s", "s,1", "e", "e,1", "e,0", "e,01", "e,1,1")
+
+
+@st.composite
+def switched_models(draw):
+    """Small switched models whose names may collide once suffixed."""
+    modes = tuple(f"m{i}" for i in range(draw(st.integers(1, 3))))
+    local_unknowns = tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=4)))
+    shared = tuple(draw(st.lists(
+        st.sampled_from([x for x in _NAMES if x not in local_unknowns]), max_size=3, unique=True
+    )))
+    known = sorted(set(local_unknowns) | set(shared))
+    faults = st.none() | st.sampled_from(("f", "f,1", "f,2", "g"))
+    incidence = st.frozensets(st.sampled_from(known), max_size=4) if known else st.just(frozenset())
+    equations = tuple(
+        ModeGuardedEquation(eq_id, {m: draw(incidence) for m in modes}, draw(faults))
+        for eq_id in draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    )
+    global_equations = tuple(
+        GlobalEquation(
+            draw(st.sampled_from(_NAMES)),
+            draw(st.frozensets(st.sampled_from(shared), max_size=2) if shared else st.just(frozenset())),
+            draw(st.frozensets(st.sampled_from(local_unknowns), max_size=2)
+                 if local_unknowns else st.just(frozenset())),
+            draw(faults),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    n = draw(st.integers(1, 3))
+    switched = SwitchedModel(
+        SubmoduleTemplate(modes, equations, local_unknowns), n, global_equations, shared
+    )
+    return switched, tuple(draw(st.lists(st.sampled_from(modes), min_size=n, max_size=n)))
+
+
+class TestFlattenByOffsets:
+    """The first configuration is built by offsets; the by-name build is the reference."""
+
+    @pytest.mark.parametrize("setup", ["I", "II", "III", "IV"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_reduced_and_seeded_raw_configuration(self, setup, n):
+        switched, _ = bimmc.generate(n, setup)
+        configs = [
+            representative_configuration(switched, reduced).modes
+            for reduced in enumerate_reduced_configurations(switched)
+        ]
+        rng = random.Random(n)
+        configs += [tuple(rng.choices(bimmc.MODES, k=n)) for _ in range(8)]
+        for modes in configs:
+            assert assert_first_build_matches(switched, modes) is None
+
+    @given(switched_models())
+    def test_random_templates(self, drawn):
+        assert_first_build_matches(*drawn)
+
+    @pytest.mark.parametrize("global_equations, shared, local_unknowns, equation_ids, message", [
+        # BIMMC's own pack equation e1,0 and a zero-padded index name no instance.
+        ((), (), (), None, None),
+        ((GlobalEquation("e1,01", frozenset()),), (), (), None, None),
+        ((GlobalEquation("e1,3", frozenset()),), (), (), None,
+         "duplicate equation identifiers: ['e1,3']"),
+        ((GlobalEquation("e1,4", frozenset()),), (), (), None, None),
+        ((GlobalEquation("g", frozenset()), GlobalEquation("g", frozenset())), (), (), None,
+         "duplicate equation identifiers: ['g']"),
+        # A template id holding a comma suffixes past its own comma.
+        ((), (), (), ("e1", "e1,1"), None),
+        ((GlobalEquation("e1,1,2", frozenset()),), (), (), ("e1", "e1,1"),
+         "duplicate equation identifiers: ['e1,1,2']"),
+        ((), ("v_p,2",), (), None, "duplicate unknown identifiers: ['v_p,2']"),
+        ((), ("v_p,02",), (), None, None),
+        ((), (), ("v_p",), None,
+         "duplicate unknown identifiers: ['v_p,1', 'v_p,2', 'v_p,3']"),
+        ((GlobalEquation("g", frozenset(), fault="f_Ro,3"),), (), (), None,
+         "duplicate fault identifiers: ['f_Ro,3']"),
+        ((GlobalEquation("g1", frozenset(), fault="f"), GlobalEquation("g2", frozenset(), fault="f")),
+         (), (), None, "duplicate fault identifiers: ['f']"),
+        # A repeated equation is refused before a repeated unknown or fault.
+        ((GlobalEquation("e1,1", frozenset(), fault="f_Ro,1"),), ("v_p,1",), (), None,
+         "duplicate equation identifiers: ['e1,1']"),
+        ((GlobalEquation("g", frozenset(), fault="f_Ro,1"),), ("v_p,1",), (), None,
+         "duplicate unknown identifiers: ['v_p,1']"),
+    ], ids=[
+        "global-e1,0", "global-e1,01", "global-e1,3", "global-e1,4-beyond-n", "global-id-twice",
+        "template-id-with-comma", "global-id-of-comma-template-id", "shared-v_p,2",
+        "shared-v_p,02", "template-local-twice", "global-fault-f_Ro,3", "global-fault-twice",
+        "equation-before-unknown", "unknown-before-fault",
+    ])
+    def test_names_that_may_collide(
+        self, fb_switched, global_equations, shared, local_unknowns, equation_ids, message
+    ):
+        template = fb_switched.template
+        equations = template.equations
+        if equation_ids is not None:
+            e1 = equations[0]
+            equations = tuple(
+                ModeGuardedEquation(eq_id, e1.variants) for eq_id in equation_ids
+            ) + equations[1:]
+        switched = SwitchedModel(
+            SubmoduleTemplate(template.modes, equations, template.local_unknowns + local_unknowns),
+            3,
+            fb_switched.global_equations + global_equations,
+            fb_switched.shared_unknowns + shared,
+        )
+        for modes in (("forward", "bypass1", "backward"), ("bypass2",) * 3):
+            assert assert_first_build_matches(switched, modes) == message
+
+    def test_repeated_template_fault(self, fb_switched):
+        template = fb_switched.template
+        equations = tuple(
+            ModeGuardedEquation(eq.id, eq.variants, "f_Ro" if eq.id == "e5" else eq.fault)
+            for eq in template.equations
+        )
+        switched = SwitchedModel(
+            SubmoduleTemplate(template.modes, equations, template.local_unknowns),
+            2,
+            fb_switched.global_equations,
+            fb_switched.shared_unknowns,
+        )
+        assert assert_first_build_matches(switched, ("forward", "bypass1")) == (
+            "duplicate fault identifiers: ['f_Ro,1', 'f_Ro,2']"
+        )
 
 
 class TestInstantiateRefusals:
@@ -296,21 +447,30 @@ class TestInstantiateRefusals:
             instantiate(switched, Configuration(("forward", "sideways", "bypass1")))
 
     def test_reguard_refuses_undeclared_unknown(self, fb_switched):
-        # The switched model checked its template when it was built, so the
-        # variant is edited afterwards; the patch that uses it refuses it.
+        # The switched model checks every variant when it is built, and a
+        # variant cannot be edited afterwards, so that check is final.
         template = fb_switched.template
-        equations = tuple(ModeGuardedEquation(eq.id, eq.variants, eq.fault) for eq in template.equations)
-        switched = SwitchedModel(
-            SubmoduleTemplate(template.modes, equations, template.local_unknowns),
-            3,
-            fb_switched.global_equations,
-            fb_switched.shared_unknowns,
-        )
-        instantiate(switched, Configuration(("forward",) * 3))
-        e9 = next(eq for eq in equations if eq.id == "e9")
-        e9.variants["bypass1"] = frozenset({"v_sm", "v_ghost"})
-        with pytest.raises(InputError, match=r"'e9,2'.*'v_ghost'"):
-            instantiate(switched, Configuration(("forward", "bypass1", "forward")))
+        e9 = next(eq for eq in template.equations if eq.id == "e9")
+        with pytest.raises(TypeError):
+            e9.variants["bypass1"] = frozenset({"v_sm", "v_ghost"})
+        assert e9.variants["bypass1"] == frozenset({"v_sm"})
+        # The equation keeps a copy of the variants it was given.
+        variants = dict(e9.variants, bypass1=frozenset({"v_sm", "v_ghost"}))
+        ghost = ModeGuardedEquation("e9", variants)
+        variants["bypass1"] = frozenset({"v_sm"})
+        assert ghost.variants["bypass1"] == frozenset({"v_sm", "v_ghost"})
+        assert copy.deepcopy(ghost) == pickle.loads(pickle.dumps(ghost)) == ghost
+        equations = tuple(ghost if eq is e9 else eq for eq in template.equations)
+        with pytest.raises(
+            InputError,
+            match=re.escape("template equation 'e9' references undeclared unknowns ['v_ghost']"),
+        ):
+            SwitchedModel(
+                SubmoduleTemplate(template.modes, equations, template.local_unknowns),
+                3,
+                fb_switched.global_equations,
+                fb_switched.shared_unknowns,
+            )
 
 
 class TestCanonicalize:
