@@ -126,7 +126,13 @@ class SubmoduleTemplate:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "equations", equations)
         object.__setattr__(self, "local_unknowns", tuple(self.local_unknowns))
-        object.__setattr__(self, "mode_letters", letters)
+        # Read-only, as ModeGuardedEquation.variants, so the checks are final.
+        object.__setattr__(self, "mode_letters", MappingProxyType(letters))
+
+    def __reduce__(self):
+        return type(self), (
+            self.modes, self.equations, self.local_unknowns, dict(self.mode_letters)
+        )
 
     @cached_property
     def _mode_classes(self) -> tuple[frozenset[str], ...]:

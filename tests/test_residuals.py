@@ -135,6 +135,25 @@ class TestPlant:
         with pytest.raises(SimulationDivergedError, match="RC-link state became non-finite"):
             run(i_out=math.inf)
 
+    # The state after an infinite current at sample i is first infinite at
+    # sample i + 1: mid-row (101), a row's first sample (96) and its last (95)
+    # in rows of residuals._SCAN_BLOCK = 32 samples.
+    @pytest.mark.parametrize("sample", [100, 95, 94])
+    def test_divergence_time_is_the_recurrences(self, sample):
+        def spike(t):
+            return np.where(np.arange(np.size(t)) == sample, math.inf, 1.0)
+
+        t = f"{(sample + 1) * 1e-5:.6g}"
+        with pytest.raises(SimulationDivergedError, match=rf"non-finite at t={t} s;"):
+            run(i_out=spike)
+        # The observer reports the same sample when only the measurement spikes.
+        _, signals = run(i_out=1.0)
+        y_iout = signals.y_iout.copy()
+        y_iout[sample] = math.inf
+        spiked = PlantSignals(signals.times, MODE_FORWARD, signals.v_p, signals.y_vcell, y_iout)
+        with pytest.raises(SimulationDivergedError, match=rf"RC-link .* at t={t} s;"):
+            residual_setup1(spiked, NOMINAL_CELL)
+
 
 def sequential_zoh(current, v0, params, dt):
     """Reference: the zero-order-hold recurrence, one sample at a time."""
@@ -161,6 +180,39 @@ class TestRcLinkScan:
             want = sequential_zoh(current, v0, params, dt)
             # Relative to the largest state magnitude of the run.
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (n, dt)
+
+    @staticmethod
+    def assert_close(current, v0, params, dt, rel):
+        got = _rc_link(current, v0, params, dt)
+        want = sequential_zoh(current, v0, params, dt)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), (len(current), dt)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65])
+    def test_lengths_at_the_row_edges(self, n):
+        assert residuals._SCAN_BLOCK == 32
+        rng = np.random.default_rng(n)
+        for ratio in (1e-3, 0.0095, 0.3, 30.0):
+            current = rng.normal(scale=20.0, size=n)
+            self.assert_close(current, rng.normal(), NOMINAL_CELL, ratio * TAU, 1e-13)
+
+    def test_decay_underflowing_to_zero_is_exact(self):
+        # exp(-1000) is 0, so each state is the previous step's input alone.
+        dt = 1000 * TAU
+        assert math.exp(-dt / TAU) == 0.0
+        current = np.random.default_rng(1).normal(size=100)
+        got = _rc_link(current, 0.5, NOMINAL_CELL, dt)
+        assert np.array_equal(got, sequential_zoh(current, 0.5, NOMINAL_CELL, dt))
+
+    def test_decay_of_one_minus_a_millionth(self):
+        current = np.random.default_rng(2).normal(scale=20.0, size=5000)
+        self.assert_close(current, 3.0, NOMINAL_CELL, 1e-6 * TAU, 1e-13)
+
+    def test_a_million_samples_at_the_benchmark_cell(self):
+        # 31 250 rows: a carry error anywhere along them shows in the tail.
+        times = np.arange(1_000_000) * 1e-5
+        current = 20.0 * np.sin(2 * math.pi * 50.0 * times) + 3.0 * (times >= 5.0)
+        self.assert_close(current, 0.0, NOMINAL_CELL, 1e-5, 1e-13)
 
 
 class TestSetup1Residual:

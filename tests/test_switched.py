@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import pickle
 import random
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from switchdiag import bimmc
 from switchdiag.errors import InputError
+from switchdiag.modelio import switched_model_from_dict, switched_model_to_dict
 from switchdiag.pipeline import compact
 from switchdiag.structural import IsolabilityReport, isolability_partition
 from switchdiag.switched import (
@@ -571,6 +573,24 @@ class TestParseConfiguration:
     def test_wrong_length(self, fb_switched):
         with pytest.raises(InputError, match="entries"):
             parse_configuration(fb_switched.template, "IB", 3)
+
+    def test_letters_cannot_be_edited_after_the_checks(self):
+        switched, _ = bimmc.generate(2, "I")
+        template = switched.template
+        with pytest.raises(TypeError):
+            template.mode_letters["X"] = "sideways"
+        with pytest.raises(InputError, match="mode letter 'X'"):
+            parse_configuration(template, "XI", 2)
+        # The template keeps a copy of the letters it was given.
+        letters = dict(template.mode_letters)
+        kept = SubmoduleTemplate(template.modes, template.equations, template.local_unknowns,
+                                 letters)
+        letters["X"] = "sideways"
+        assert "X" not in kept.mode_letters
+        assert copy.deepcopy(template) == pickle.loads(pickle.dumps(template)) == template
+        data = json.loads(json.dumps(switched_model_to_dict(switched)))
+        assert data["template"]["mode_letters"] == bimmc.MODE_LETTERS
+        assert switched_model_from_dict(data)[0].template == template
 
     @pytest.mark.parametrize("letter", ["IB", "", ",", " "],
                              ids=["two-characters", "empty", "comma", "blank"])
